@@ -1,7 +1,8 @@
 (* The daemon's observability surface: monotonic counters plus cumulative
-   per-phase seconds, mutex-serialized because the request scheduler updates
-   them from pool workers.  A [stats] request dumps everything as JSON
-   (hand-rolled like the bench files — no JSON dependency in the image).
+   per-phase seconds, mutex-serialized because a daemon running in its own
+   domain is read from others (in-process tests, the benchmark).  A [stats]
+   request dumps everything as JSON (hand-rolled like the bench files — no
+   JSON dependency in the image).
 
    Per-request trace spans are collected in a [span] record owned by one
    request (no locking) and folded into the cumulative counters once the
@@ -55,6 +56,7 @@ type t = {
   mutable reaped_idle : int;  (* connections closed for total silence *)
   mutable reaped_trickle : int;  (* connections closed mid-frame for stalling *)
   mutable write_stalls : int;  (* connections dropped for not draining writes *)
+  mutable refused_fdset : int;  (* accepted fds past FD_SETSIZE, closed at once *)
   mutable parse_s : float;
   mutable extract_s : float;
   mutable traverse_s : float;
@@ -92,6 +94,7 @@ let create () =
     reaped_idle = 0;
     reaped_trickle = 0;
     write_stalls = 0;
+    refused_fdset = 0;
     parse_s = 0.0;
     extract_s = 0.0;
     traverse_s = 0.0;
@@ -127,6 +130,14 @@ let record_phase_b t n =
         t.phase_b_max <- max t.phase_b_max n;
         let b = phase_b_bucket n in
         t.phase_b_hist.(b) <- t.phase_b_hist.(b) + 1)
+
+let count_io t (e : Loop.event) =
+  bump t (fun m ->
+      match e with
+      | Loop.Stalled -> m.write_stalls <- m.write_stalls + 1
+      | Loop.Reaped_idle -> m.reaped_idle <- m.reaped_idle + 1
+      | Loop.Reaped_trickle -> m.reaped_trickle <- m.reaped_trickle + 1
+      | Loop.Refused_fdset -> m.refused_fdset <- m.refused_fdset + 1)
 
 let record_span t (s : span) =
   locked t (fun () ->
@@ -170,6 +181,7 @@ let counters t =
         ("reaped_idle", t.reaped_idle);
         ("reaped_trickle", t.reaped_trickle);
         ("write_stalls", t.write_stalls);
+        ("refused_fdset", t.refused_fdset);
       ])
 
 let counter t name = List.assoc_opt name (counters t)

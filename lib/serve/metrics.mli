@@ -1,6 +1,6 @@
 (** The daemon's observability surface: monotonic counters plus cumulative
-    per-phase seconds, mutex-serialized (the request scheduler updates them
-    from pool workers); per-request trace spans; a JSON dump answering the
+    per-phase seconds, mutex-serialized (a daemon in its own domain is read
+    from others); per-request trace spans; a JSON dump answering the
     [stats] request. *)
 
 (** One request's trace, owned by that request (no locking); folded into
@@ -54,6 +54,8 @@ type t = {
       (** connections closed for stalling mid-frame (trickle/byte-at-a-time) *)
   mutable write_stalls : int;
       (** connections dropped because the client never drained its responses *)
+  mutable refused_fdset : int;
+      (** accepted connections closed at once: fd past [select]'s FD_SETSIZE *)
   mutable parse_s : float;
   mutable extract_s : float;
   mutable traverse_s : float;
@@ -74,6 +76,10 @@ val record_phase_b : t -> int -> unit
     [n = 0]): bumps the batch/miss counters, the running maximum and the
     miss-count histogram bucket. *)
 
+val count_io : t -> Loop.event -> unit
+(** Count one {!Loop} event (write stall, reap, refused fd) — the [count]
+    hook both daemons hand their loop. *)
+
 val record_span : t -> span -> unit
 
 val counters : t -> (string * int) list
@@ -87,6 +93,9 @@ val to_json :
     (cache size, index size...), cumulative phase seconds, uptime, any
     [extra] string fields (cache identity, socket path...), and the
     protocol version. *)
+
+val json_escape : string -> string
+(** A string's JSON-escaped body (no surrounding quotes). *)
 
 val json_counter : string -> string -> int option
 (** [json_counter json name] pulls an integer counter back out of a

@@ -1,7 +1,7 @@
 (* The `waco route` daemon: a consistent-hash front tier over N shard
    daemons.
 
-   One select loop owns all IO, the same discipline as [Server]: client
+   The shared [Loop] owns all IO, exactly as under [Server]: client
    connections accumulate bytes and peel frames off with the total
    [Protocol] decoder; each query's fingerprint routing key picks a shard
    on the ring; the query's frame bytes are relayed {e verbatim} over that
@@ -102,14 +102,8 @@ end
 
 (* --- state ------------------------------------------------------------- *)
 
-type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  mutable alive : bool;
-  mutable last_byte : float;
-  mutable partial_since : float;
-  outq : slot Queue.t;  (* this connection's response slots, FIFO *)
-}
+(* A client connection; its loop state carries the response slots, FIFO. *)
+type conn = slot Queue.t Loop.conn
 
 (* One request's place in its connection's response order.  [reply] is the
    raw response frame once known; [stop_after] marks the [Bye] whose write
@@ -128,9 +122,7 @@ and slot = {
 type shard = {
   name : string;  (* the endpoint spec; also the ring member name *)
   addr : Addr.t;
-  mutable sfd : Unix.file_descr option;  (* [None] = down *)
-  sinbuf : Buffer.t;
-  mutable spartial_since : float;
+  mutable link : unit Loop.conn option;  (* [None] = down *)
   inflight : inflight Queue.t;  (* requests relayed, awaiting responses *)
   mutable routed : int;  (* queries ever routed here (balance counter) *)
   mutable attempt : int;  (* consecutive failed dials, for backoff *)
@@ -152,31 +144,24 @@ type t = {
   mutable ring : Ring.t option;  (* over live shards; [None] = all down *)
   max_pending : int;
   failover_hops : int;
-  idle_timeout_s : float;
-  frame_timeout_s : float;
-  write_timeout_s : float;
   connect_timeout_s : float;
   reconnect_base_s : float;
   reconnect_max_s : float;
-  log : string -> unit;
+  io : Loop.io;
   mutable outstanding : int;  (* query slots awaiting a settle *)
   mutable stopping : bool;
-  (* counters (single-threaded loop: plain ints) *)
-  mutable c_requests : int;
+  metrics : Metrics.t;
+      (* the counters a router shares with [Server]: requests, sheds,
+         protocol/request errors, IO events *)
+  (* routing counters (single-threaded loop: plain ints) *)
   mutable c_routed : int;
   mutable c_relayed : int;
   mutable c_relayed_busy : int;
   mutable c_failovers : int;
   mutable c_failed_over_errors : int;
-  mutable c_shed : int;
   mutable c_no_shard_errors : int;
   mutable c_shard_deaths : int;
   mutable c_reconnects : int;
-  mutable c_protocol_errors : int;
-  mutable c_request_errors : int;
-  mutable c_write_stalls : int;
-  mutable c_reaped_idle : int;
-  mutable c_reaped_trickle : int;
 }
 
 let bound_endpoint t = t.bound
@@ -201,9 +186,7 @@ let create ?(max_pending = 1024) ?(failover_hops = 1) ?(idle_timeout_s = 60.0)
            {
              name;
              addr = Addr.of_string name;
-             sfd = None;
-             sinbuf = Buffer.create 1024;
-             spartial_since = 0.0;
+             link = None;
              inflight = Queue.create ();
              routed = 0;
              attempt = 0;
@@ -211,6 +194,7 @@ let create ?(max_pending = 1024) ?(failover_hops = 1) ?(idle_timeout_s = 60.0)
            })
          shards)
   in
+  let metrics = Metrics.create () in
   {
     listen;
     bound = None;
@@ -218,35 +202,28 @@ let create ?(max_pending = 1024) ?(failover_hops = 1) ?(idle_timeout_s = 60.0)
     ring = None;
     max_pending = max 1 max_pending;
     failover_hops = max 0 failover_hops;
-    idle_timeout_s;
-    frame_timeout_s;
-    write_timeout_s;
     connect_timeout_s;
     reconnect_base_s;
     reconnect_max_s;
-    log;
+    io =
+      Loop.io ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log
+        ~count:(Metrics.count_io metrics);
     outstanding = 0;
     stopping = false;
-    c_requests = 0;
+    metrics;
     c_routed = 0;
     c_relayed = 0;
     c_relayed_busy = 0;
     c_failovers = 0;
     c_failed_over_errors = 0;
-    c_shed = 0;
     c_no_shard_errors = 0;
     c_shard_deaths = 0;
     c_reconnects = 0;
-    c_protocol_errors = 0;
-    c_request_errors = 0;
-    c_write_stalls = 0;
-    c_reaped_idle = 0;
-    c_reaped_trickle = 0;
   }
 
 let live_count t =
   Array.fold_left
-    (fun acc sh -> if sh.sfd <> None then acc + 1 else acc)
+    (fun acc sh -> if sh.link <> None then acc + 1 else acc)
     0 t.shards
 
 let rebuild_ring t =
@@ -254,24 +231,10 @@ let rebuild_ring t =
     Array.to_list
       (Array.of_seq
          (Seq.filter_map
-            (fun sh -> if sh.sfd <> None then Some sh.name else None)
+            (fun sh -> if sh.link <> None then Some sh.name else None)
             (Array.to_seq t.shards)))
   in
   t.ring <- (if live = [] then None else Some (Ring.create live))
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let stats_json t =
   let b = Buffer.create 512 in
@@ -285,24 +248,26 @@ let stats_json t =
   let int k v = field k (string_of_int v) in
   field "listen"
     (Printf.sprintf "\"%s\""
-       (json_escape (match t.bound with Some s -> s | None -> t.listen)));
+       (Metrics.json_escape (match t.bound with Some s -> s | None -> t.listen)));
   int "shards" (Array.length t.shards);
   int "shards_up" (live_count t);
-  int "requests" t.c_requests;
+  let m = t.metrics in
+  int "requests" m.Metrics.requests;
   int "routed" t.c_routed;
   int "relayed" t.c_relayed;
   int "relayed_busy" t.c_relayed_busy;
   int "failovers" t.c_failovers;
   int "failover_errors" t.c_failed_over_errors;
-  int "shed" t.c_shed;
+  int "shed" m.shed;
   int "no_shard_errors" t.c_no_shard_errors;
   int "shard_deaths" t.c_shard_deaths;
   int "reconnects" t.c_reconnects;
-  int "protocol_errors" t.c_protocol_errors;
-  int "request_errors" t.c_request_errors;
-  int "write_stalls" t.c_write_stalls;
-  int "reaped_idle" t.c_reaped_idle;
-  int "reaped_trickle" t.c_reaped_trickle;
+  int "protocol_errors" m.protocol_errors;
+  int "request_errors" m.request_errors;
+  int "write_stalls" m.write_stalls;
+  int "reaped_idle" m.reaped_idle;
+  int "reaped_trickle" m.reaped_trickle;
+  int "refused_fdset" m.refused_fdset;
   int "outstanding" t.outstanding;
   int "max_pending" t.max_pending;
   int "failover_hops" t.failover_hops;
@@ -320,11 +285,11 @@ let compose_stats t (fan : statfan) =
     (fun i sh ->
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b "{\"name\": \"%s\", \"up\": %b, \"routed\": %d"
-        (json_escape sh.name) (sh.sfd <> None) sh.routed;
+        (Metrics.json_escape sh.name) (sh.link <> None) sh.routed;
       (match fan.results.(i) with
       | Some (Ok json) -> Printf.bprintf b ", \"stats\": %s" json
       | Some (Error e) ->
-          Printf.bprintf b ", \"error\": \"%s\"" (json_escape e)
+          Printf.bprintf b ", \"error\": \"%s\"" (Metrics.json_escape e)
       | None -> ());
       Buffer.add_string b "}")
     t.shards;
@@ -354,69 +319,19 @@ let compose_stats t (fan : statfan) =
   Buffer.add_string b "}}";
   Buffer.contents b
 
-(* --- IO helpers --------------------------------------------------------- *)
-
-let close_conn conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-exception Write_stall
-
-(* Same bounded non-blocking writer as [Server]: the whole frame goes out
-   within [write_timeout_s] or the peer is declared stalled.  Carries the
-   [Faults] network hooks so chaos tests exercise the router's write path
-   the way they exercise the daemon's. *)
-let write_bounded t fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let deadline = Robust.mono_now () +. t.write_timeout_s in
-  let rec go off =
-    if off < n then begin
-      if Robust.Faults.net_drop_tick () then
-        raise (Unix.Unix_error (Unix.EPIPE, "write", "injected drop"));
-      let len = n - off in
-      let len =
-        match Robust.Faults.net_io_cap () with
-        | Some cap -> min cap len
-        | None -> len
-      in
-      match Unix.write fd b off len with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          let remaining = deadline -. Robust.mono_now () in
-          if remaining <= 0.0 then raise Write_stall;
-          (match Unix.select [] [ fd ] [] remaining with
-          | _, [], _ -> raise Write_stall
-          | _ -> ());
-          go off
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    end
-  in
-  go 0
+(* --- client replies ------------------------------------------------------ *)
 
 (* Write every settled slot at the head of [conn]'s response queue.  Dead
    connections still drain their queue (drop the frames) so settled slots
    never pile up behind a gone client. *)
-let flush_client t conn =
+let flush_client t (conn : conn) =
   let continue = ref true in
   while !continue do
-    match Queue.peek_opt conn.outq with
+    match Queue.peek_opt conn.data with
     | Some slot when slot.reply <> None ->
-        ignore (Queue.pop conn.outq);
-        let frame = Option.get slot.reply in
+        ignore (Queue.pop conn.data);
         if conn.alive then begin
-          (match write_bounded t conn.fd frame with
-          | () -> ()
-          | exception Write_stall ->
-              t.c_write_stalls <- t.c_write_stalls + 1;
-              t.log "client not draining responses; dropping connection";
-              close_conn conn
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-            ->
-              t.log "client went away mid-response";
-              close_conn conn);
+          Loop.send t.io conn (Option.get slot.reply);
           if slot.stop_after then t.stopping <- true
         end
     | _ -> continue := false
@@ -441,6 +356,15 @@ let shard_by_name t name =
 
 let retry_hint t = min 2000 (50 * (1 + (t.outstanding / 32)))
 
+(* Count one more failed dial (or death) and pace the next redial. *)
+let backoff t sh =
+  sh.attempt <- sh.attempt + 1;
+  sh.next_try <-
+    Robust.mono_now ()
+    +. Robust.backoff_delay ~base_s:t.reconnect_base_s
+         ~max_s:t.reconnect_max_s ~seed:(Hashtbl.hash sh.name)
+         ~attempt:sh.attempt ()
+
 (* Relay a query slot to the shard owning its key.  On a relay failure the
    shard goes down, which re-settles or re-routes this very slot along with
    the rest of that shard's in-flight queue. *)
@@ -451,17 +375,17 @@ let rec forward t slot =
       settle_resp t slot (Protocol.Error_msg "router: no shards available")
   | Some ring -> (
       let sh = shard_by_name t (Ring.lookup ring slot.skey) in
-      match sh.sfd with
+      match sh.link with
       | None ->
           (* The ring only holds live shards; a raced-down link settles as
              a death would. *)
           failover t sh slot
-      | Some fd -> (
+      | Some link -> (
           slot.hops <- slot.hops + 1;
           Queue.add (Iquery slot) sh.inflight;
           sh.routed <- sh.routed + 1;
           t.c_routed <- t.c_routed + 1;
-          match write_bounded t fd slot.raw with
+          match Loop.write_bounded t.io link.fd slot.raw with
           | () -> ()
           | exception _ -> shard_down t sh))
 
@@ -494,22 +418,12 @@ and failover t sh slot =
    failover rule — re-relays target the rebuilt ring, so a cascade of
    deaths terminates on the hop budget. *)
 and shard_down t sh =
-  (match sh.sfd with
-  | Some fd -> (
-      sh.sfd <- None;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  Buffer.clear sh.sinbuf;
-  sh.spartial_since <- 0.0;
-  sh.attempt <- sh.attempt + 1;
-  sh.next_try <-
-    Robust.mono_now ()
-    +. Robust.backoff_delay ~base_s:t.reconnect_base_s
-         ~max_s:t.reconnect_max_s ~seed:(Hashtbl.hash sh.name)
-         ~attempt:sh.attempt ();
+  Option.iter Loop.close sh.link;
+  sh.link <- None;
+  backoff t sh;
   t.c_shard_deaths <- t.c_shard_deaths + 1;
   rebuild_ring t;
-  t.log (Printf.sprintf "shard %s down (%d in flight)" sh.name
+  t.io.log (Printf.sprintf "shard %s down (%d in flight)" sh.name
            (Queue.length sh.inflight));
   let orphans = List.of_seq (Queue.to_seq sh.inflight) in
   Queue.clear sh.inflight;
@@ -525,30 +439,27 @@ and shard_down t sh =
               (Protocol.Stats_json (compose_stats t fan)))
     orphans
 
+(* Dial a down shard; a link fd the loop's [select] cannot watch is a
+   failed dial like any other. *)
 let try_connect t sh =
   match Addr.connect ~timeout_s:t.connect_timeout_s sh.addr with
-  | fd ->
+  | fd when Loop.selectable fd ->
       Unix.set_nonblock fd;
-      sh.sfd <- Some fd;
+      sh.link <- Some (Loop.conn fd ());
       sh.attempt <- 0;
       rebuild_ring t;
       if t.c_reconnects > 0 || t.bound <> None then
-        t.log (Printf.sprintf "shard %s admitted to the ring" sh.name);
-      t.c_reconnects <- t.c_reconnects + 1;
-      true
-  | exception _ ->
-      sh.attempt <- sh.attempt + 1;
-      sh.next_try <-
-        Robust.mono_now ()
-        +. Robust.backoff_delay ~base_s:t.reconnect_base_s
-             ~max_s:t.reconnect_max_s ~seed:(Hashtbl.hash sh.name)
-             ~attempt:sh.attempt ();
-      false
+        t.io.log (Printf.sprintf "shard %s admitted to the ring" sh.name);
+      t.c_reconnects <- t.c_reconnects + 1
+  | fd ->
+      Unix.close fd;
+      backoff t sh
+  | exception _ -> backoff t sh
 
 let reconnect_pass t =
   let now = Robust.mono_now () in
   Array.iter
-    (fun sh -> if sh.sfd = None && now >= sh.next_try then ignore (try_connect t sh))
+    (fun sh -> if sh.link = None && now >= sh.next_try then try_connect t sh)
     t.shards
 
 (* --- request handling --------------------------------------------------- *)
@@ -559,7 +470,7 @@ let push_slot ?(is_query = false) ?(raw = "") ?(skey = "") ?(measure = false)
     { owner = conn; reply = None; is_query; raw; skey; measure; hops = 0;
       stop_after }
   in
-  Queue.add slot conn.outq;
+  Queue.add slot conn.data;
   slot
 
 (* The routing key: the fingerprint's sketch hex for an inline matrix —
@@ -580,7 +491,7 @@ let routing_key_of (q : Protocol.query) =
 
 let handle_query t conn (q : Protocol.query) raw =
   if t.outstanding >= t.max_pending then begin
-    t.c_shed <- t.c_shed + 1;
+    Metrics.bump t.metrics (fun m -> m.shed <- m.shed + 1);
     let slot = push_slot conn in
     settle_resp t slot (Protocol.Busy { retry_after_ms = retry_hint t })
   end
@@ -600,7 +511,7 @@ let handle_stats t conn =
   in
   Array.iteri
     (fun i sh ->
-      match sh.sfd with
+      match sh.link with
       | None -> ()
       | Some _ ->
           fan.waiting <- fan.waiting + 1;
@@ -614,9 +525,9 @@ let handle_stats t conn =
        must find the fan entries of the shards already enqueued. *)
     Array.iter
       (fun sh ->
-        match sh.sfd with
+        match sh.link with
         | None -> ()
-        | Some fd -> (
+        | Some link -> (
             let has_fan =
               Queue.fold
                 (fun acc item ->
@@ -625,34 +536,30 @@ let handle_stats t conn =
             in
             if has_fan then
               match
-                write_bounded t fd (Protocol.request_to_frame Protocol.Stats)
+                Loop.write_bounded t.io link.fd
+                  (Protocol.request_to_frame Protocol.Stats)
               with
               | () -> ()
               | exception _ -> shard_down t sh))
       t.shards
 
-let drain_client_frames t conn =
+let drain_client_frames t (conn : conn) =
   let continue = ref true in
   while !continue do
-    let s = Buffer.contents conn.inbuf in
-    match Protocol.decode_frame s with
-    | `Need _ -> continue := false
+    match Loop.peel conn.inbuf with
+    | `Need -> continue := false
     | `Bad reason ->
-        t.c_protocol_errors <- t.c_protocol_errors + 1;
-        (try
-           write_bounded t conn.fd
-             (Protocol.response_to_frame
-                (Protocol.Error_msg ("protocol: " ^ reason)))
-         with _ -> ());
-        close_conn conn;
+        Metrics.bump t.metrics (fun m ->
+            m.protocol_errors <- m.protocol_errors + 1);
+        Loop.send t.io conn
+          (Protocol.response_to_frame
+             (Protocol.Error_msg ("protocol: " ^ reason)));
+        Loop.close conn;
         continue := false
-    | `Frame (msg, body, consumed) -> (
-        let raw = String.sub s 0 consumed in
-        Buffer.clear conn.inbuf;
-        Buffer.add_substring conn.inbuf s consumed (String.length s - consumed);
+    | `Frame (msg, body, raw) -> (
         match Protocol.request_of_frame ~msg body with
         | Ok req -> (
-            t.c_requests <- t.c_requests + 1;
+            Metrics.bump t.metrics (fun m -> m.requests <- m.requests + 1);
             match req with
             | Protocol.Query q -> handle_query t conn q raw
             | Protocol.Ping ->
@@ -663,26 +570,23 @@ let drain_client_frames t conn =
                 let slot = push_slot ~stop_after:true conn in
                 settle_resp t slot Protocol.Bye)
         | Error e ->
-            t.c_request_errors <- t.c_request_errors + 1;
+            Metrics.bump t.metrics (fun m ->
+                m.request_errors <- m.request_errors + 1);
             let slot = push_slot conn in
             settle_resp t slot (Protocol.Error_msg ("request: " ^ e)))
   done
 
 (* Responses off one shard link.  The link is FIFO on both sides, so each
    complete frame pairs with the oldest in-flight relay. *)
-let drain_shard_frames t sh =
+let drain_shard_frames t sh (link : unit Loop.conn) =
   let continue = ref true in
-  while !continue && sh.sfd <> None do
-    let s = Buffer.contents sh.sinbuf in
-    match Protocol.decode_frame s with
-    | `Need _ -> continue := false
+  while !continue && link.alive do
+    match Loop.peel link.inbuf with
+    | `Need -> continue := false
     | `Bad _ ->
         shard_down t sh;
         continue := false
-    | `Frame (msg, body, consumed) -> (
-        let frame = String.sub s 0 consumed in
-        Buffer.clear sh.sinbuf;
-        Buffer.add_substring sh.sinbuf s consumed (String.length s - consumed);
+    | `Frame (msg, body, frame) -> (
         match Queue.take_opt sh.inflight with
         | None ->
             (* An unsolicited frame: the link is out of sync; resync by
@@ -705,171 +609,60 @@ let drain_shard_frames t sh =
                 (Protocol.Stats_json (compose_stats t fan)))
   done
 
-let reap t conns =
-  let now = Robust.mono_now () in
-  List.iter
-    (fun conn ->
-      if conn.alive then
-        if
-          conn.partial_since > 0.0
-          && now -. conn.partial_since > t.frame_timeout_s
-        then begin
-          t.c_reaped_trickle <- t.c_reaped_trickle + 1;
-          t.log "reaped client stalled mid-frame";
-          close_conn conn
-        end
-        else if now -. conn.last_byte > t.idle_timeout_s then begin
-          t.c_reaped_idle <- t.c_reaped_idle + 1;
-          t.log "reaped idle client";
-          close_conn conn
-        end)
-    conns;
-  (* A shard stalled mid-frame is a dead shard: its frame will never
-     complete, and every response behind it is stuck.  (An idle shard link
-     is just a quiet shard — never reaped.) *)
-  Array.iter
-    (fun sh ->
-      if
-        sh.sfd <> None && sh.spartial_since > 0.0
-        && now -. sh.spartial_since > t.frame_timeout_s
-      then begin
-        t.log (Printf.sprintf "shard %s stalled mid-frame" sh.name);
-        shard_down t sh
-      end)
-    t.shards
-
 (* --- the loop ----------------------------------------------------------- *)
 
+(* Each live shard link, for the loop to watch: its reads are hook-free
+   (the [Faults] network hooks model hostile clients, not shards). *)
+let links t =
+  Array.fold_right
+    (fun sh acc ->
+      match sh.link with
+      | Some link ->
+          let on_readable () =
+            (* An earlier callback this round may have torn the link down. *)
+            if
+              link.alive
+              && not (Loop.pump t.io ~cap:max_int link (drain_shard_frames t sh))
+            then shard_down t sh
+          in
+          (link.fd, on_readable) :: acc
+      | None -> acc)
+    t.shards []
+
+(* A shard stalled mid-frame is a dead shard: its frame will never complete,
+   and every response behind it is stuck.  (An idle shard link is just a
+   quiet shard — never reaped.) *)
+let reap_links t =
+  let now = Robust.mono_now () in
+  Array.iter
+    (fun sh ->
+      match sh.link with
+      | Some link
+        when link.partial_since > 0.0
+             && now -. link.partial_since > t.io.frame_timeout_s ->
+          t.io.log (Printf.sprintf "shard %s stalled mid-frame" sh.name);
+          shard_down t sh
+      | _ -> ())
+    t.shards
+
 let run ?(on_ready = ignore) t =
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  let addr = Addr.of_string t.listen in
-  let listen_fd = Addr.listen addr in
-  let addr = Addr.resolve_bound addr listen_fd in
-  Array.iter (fun sh -> ignore (try_connect t sh)) t.shards;
-  t.bound <- Some (Addr.to_string addr);
-  t.log
-    (Printf.sprintf "routing on %s over %d shard(s), %d up"
-       (Addr.to_string addr) (Array.length t.shards) (live_count t));
-  on_ready ();
-  let conns : conn list ref = ref [] in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Addr.cleanup addr;
-    List.iter close_conn !conns;
-    Array.iter
-      (fun sh ->
-        match sh.sfd with
-        | Some fd -> (
-            sh.sfd <- None;
-            try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ())
-      t.shards;
-    match prev_sigpipe with
-    | Some h -> (
-        try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
-  in
-  let tick =
-    Float.max 0.02
-      (Float.min 1.0 (Float.min t.idle_timeout_s t.frame_timeout_s /. 4.0))
-  in
-  Fun.protect ~finally (fun () ->
-      let chunk = Bytes.create 65536 in
-      while not t.stopping do
-        conns := List.filter (fun c -> c.alive) !conns;
-        let client_fds = List.map (fun c -> c.fd) !conns in
-        let shard_fds =
-          Array.fold_left
-            (fun acc sh ->
-              match sh.sfd with Some fd -> fd :: acc | None -> acc)
-            [] t.shards
-        in
-        match
-          Unix.select ((listen_fd :: client_fds) @ shard_fds) [] [] tick
-        with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | readable, _, _ ->
-            if List.mem listen_fd readable then begin
-              let accepting = ref true in
-              while !accepting do
-                match Unix.accept listen_fd with
-                | fd, _ ->
-                    Unix.set_nonblock fd;
-                    Addr.nodelay fd;
-                    conns :=
-                      {
-                        fd;
-                        inbuf = Buffer.create 1024;
-                        alive = true;
-                        last_byte = Robust.mono_now ();
-                        partial_since = 0.0;
-                        outq = Queue.create ();
-                      }
-                      :: !conns
-                | exception
-                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                  ->
-                    accepting := false
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              done
-            end;
-            (* Shard responses first: they settle slots and free pending
-               budget before new client queries are considered. *)
-            Array.iter
-              (fun sh ->
-                match sh.sfd with
-                | Some fd when List.mem fd readable -> (
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 -> shard_down t sh
-                    | n ->
-                        Buffer.add_subbytes sh.sinbuf chunk 0 n;
-                        drain_shard_frames t sh;
-                        if Buffer.length sh.sinbuf = 0 then
-                          sh.spartial_since <- 0.0
-                        else if sh.spartial_since = 0.0 then
-                          sh.spartial_since <- Robust.mono_now ()
-                    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                        shard_down t sh
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                        ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-                | _ -> ())
-              t.shards;
-            List.iter
-              (fun conn ->
-                if conn.alive && List.mem conn.fd readable then begin
-                  if Robust.Faults.net_drop_tick () then close_conn conn
-                  else
-                    let len = Bytes.length chunk in
-                    let len =
-                      match Robust.Faults.net_io_cap () with
-                      | Some cap -> min cap len
-                      | None -> len
-                    in
-                    match Unix.read conn.fd chunk 0 len with
-                    | 0 -> close_conn conn
-                    | n ->
-                        conn.last_byte <- Robust.mono_now ();
-                        Buffer.add_subbytes conn.inbuf chunk 0 n;
-                        drain_client_frames t conn;
-                        if Buffer.length conn.inbuf = 0 then
-                          conn.partial_since <- 0.0
-                        else if conn.partial_since = 0.0 then
-                          conn.partial_since <- Robust.mono_now ()
-                    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                        close_conn conn
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                        ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                end)
-              !conns;
-            reconnect_pass t;
-            reap t !conns
-      done)
+  Loop.run t.io ~endpoint:t.listen
+    ~on_listen:(fun bound ->
+      Array.iter (try_connect t) t.shards;
+      t.bound <- Some bound;
+      t.io.log
+        (Printf.sprintf "routing on %s over %d shard(s), %d up" bound
+           (Array.length t.shards) (live_count t));
+      on_ready ())
+    ~stopping:(fun () -> t.stopping)
+    ~accept:Queue.create ~on_bytes:(drain_client_frames t)
+    ~links:(fun () -> links t)
+    ~after_round:(fun () ->
+      reconnect_pass t;
+      reap_links t)
+    ~on_exit:(fun () ->
+      Array.iter
+        (fun sh ->
+          Option.iter Loop.close sh.link;
+          sh.link <- None)
+        t.shards)

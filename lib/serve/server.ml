@@ -2,17 +2,18 @@
    tuning requests over a Unix-domain or TCP socket ([Addr] spec) for as
    long as it lives.
 
-   One thread of control owns all IO: a [select] loop accepts connections,
-   accumulates bytes per connection and peels complete frames off with the
-   total [Protocol] decoder.  Decoded queries land on a FIFO; between IO
-   rounds the request scheduler drains it in micro-batches:
+   One thread of control owns all IO: the shared [Loop] accepts
+   connections, accumulates bytes per connection and peels complete frames
+   off with the total [Protocol] decoder.  Decoded queries land on a FIFO;
+   between IO rounds the request scheduler drains it in micro-batches:
 
    - queries are parsed and fingerprinted, then deduplicated per batch —
      N clients asking about the same pattern cost one computation;
    - cache hits are answered immediately;
-   - the distinct misses run [Tuner.query] concurrently on the worker pool,
-     one forward-only [Costmodel.replicate] per domain (the same replica
-     discipline as the index build), so independent requests overlap;
+   - the distinct misses of each kernel slot run through one
+     [Tuner.query_batch]: one batched extractor-plan execution for their
+     features, then each miss's top-k measurements spread over the worker
+     pool;
    - fresh non-degraded answers enter the LRU cache, which is persisted
      write-through inside the [Robust] envelope so a restarted daemon is
      warm.
@@ -34,23 +35,15 @@
 
 open Machine_model
 
-type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  mutable alive : bool;
-  mutable last_byte : float;  (* when the last byte arrived (or accept time) *)
-  mutable partial_since : float;
-      (* when the current incomplete frame started accumulating; 0.0 at a
-         frame boundary (empty input buffer) *)
-}
+type conn = unit Loop.conn
 
-(* One served kernel: its trained model (replicated per worker domain, slot 0
-   the loaded model itself) and its HNSW index.  The daemon owns one slot per
-   kernel it serves; every query resolves to exactly one slot, and cache keys
-   are namespaced by the slot's kernel name so answers can never cross. *)
+(* One served kernel: its trained model and its HNSW index.  The daemon owns
+   one slot per kernel it serves; every query resolves to exactly one slot,
+   and cache keys are namespaced by the slot's kernel name so answers can
+   never cross.  Only the loop's own thread touches the model. *)
 type slot = {
   kernel : Waco.Kernel.t;
-  replicas : Waco.Costmodel.t array;
+  model : Waco.Costmodel.t;
   index : Waco.Tuner.index;
 }
 
@@ -74,10 +67,7 @@ type t = {
   k : int;
   ef : int;
   max_pending : int;  (* queued-query high-water mark; past it, shed *)
-  idle_timeout_s : float;
-  frame_timeout_s : float;
-  write_timeout_s : float;
-  log : string -> unit;
+  io : Loop.io;
   queue : (conn * Protocol.request * float) Queue.t;  (* req + arrival time *)
   mutable pending_queries : int;  (* queries currently in [queue] *)
   mutable stopping : bool;
@@ -95,7 +85,6 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
     ?(ef = 40) ?(max_pending = 256) ?(idle_timeout_s = 60.0)
     ?(frame_timeout_s = 10.0) ?(write_timeout_s = 5.0) ?(log = ignore)
     ?(extra = []) ~model ~index ~index_file ~machine ~socket () =
-  let domains = match pool with Some p -> Parallel.Pool.domains p | None -> 1 in
   let mk_slot (m, idx, idx_file) =
     Waco.Tuner.validate_compat m ~index_file:idx_file idx;
     let kernel = Waco.Costmodel.kernel_of m in
@@ -103,13 +92,7 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
       invalid_arg
         "Server.create: mttkrp needs a 3-D tensor; the wire protocol carries \
          2-D matrices";
-    {
-      kernel;
-      replicas =
-        Array.init (max 1 domains) (fun i ->
-            if i = 0 then m else Waco.Costmodel.replicate m);
-      index = idx;
-    }
+    { kernel; model = m; index = idx }
   in
   let slots =
     Array.of_list (List.map mk_slot ((model, index, index_file) :: extra))
@@ -132,7 +115,7 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
     !spmv
   in
   let join f = String.concat "+" (Array.to_list (Array.map f slots)) in
-  let model_digest = join (fun s -> Waco.Costmodel.digest s.replicas.(0)) in
+  let model_digest = join (fun s -> Waco.Costmodel.digest s.model) in
   let idx_digest = join (fun s -> index_digest s.index) in
   let namespaces =
     Array.to_list (Array.map (fun s -> Waco.Kernel.name s.kernel) slots)
@@ -166,6 +149,7 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
   (* Fail fast on a malformed listen spec: a daemon that parses its
      endpoint only at [run] time dies after the expensive model load. *)
   ignore (Addr.of_string socket);
+  let metrics = Metrics.create () in
   {
     socket_path = socket;
     bound = None;
@@ -176,15 +160,14 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
     cache;
     cache_file;
     cache_status;
-    metrics = Metrics.create ();
+    metrics;
     max_batch = max 1 max_batch;
     k;
     ef;
     max_pending = max 1 max_pending;
-    idle_timeout_s;
-    frame_timeout_s;
-    write_timeout_s;
-    log;
+    io =
+      Loop.io ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log
+        ~count:(Metrics.count_io metrics);
     queue = Queue.create ();
     pending_queries = 0;
     stopping = false;
@@ -276,8 +259,7 @@ let expired = function
 let merge_deadline a b =
   match (a, b) with Some x, Some y -> Some (Float.max x y) | _ -> None
 
-(* Fold one computed result's spend into the cumulative counters — shared
-   by the per-miss (pool) and batched (single-domain) phase-B paths. *)
+(* Fold one computed result's spend into the cumulative counters. *)
 let note_result t (r : Waco.Tuner.result) =
   Metrics.bump t.metrics (fun m ->
       m.measured_runs <- m.measured_runs + r.Waco.Tuner.measured_runs;
@@ -287,25 +269,13 @@ let note_result t (r : Waco.Tuner.result) =
   if r.Waco.Tuner.degraded then
     Metrics.bump t.metrics (fun m -> m.degraded <- m.degraded + 1)
 
-(* One computed miss: run the factored tuner entry point on the resolved
-   slot's worker replica and record what it spent. *)
-let compute_one t slot ~worker ~key ~measure ?deadline_at m =
-  let mt = t.metrics in
-  Metrics.bump mt (fun m -> m.extractor_forwards <- m.extractor_forwards + 1);
-  Metrics.bump mt (fun m -> m.traversals <- m.traversals + 1);
-  let r =
-    Waco.Tuner.query slot.replicas.(worker) t.machine ~k:t.k ~ef:t.ef ~measure
-      ?deadline_at ~id:key m slot.index
-  in
-  note_result t r;
-  r
-
-(* The single-domain phase B: group the distinct misses by kernel slot (in
-   first-appearance order, so the cache-insertion order of phase C is
-   unchanged) and run each group through [Tuner.query_batch] — all of a
-   group's uncached features come from one batched extractor-plan execution
-   (DESIGN.md §14) instead of one eager forward per miss. *)
-let compute_batched t miss_keys misses computed =
+(* Phase B: group the distinct misses by kernel slot (in first-appearance
+   order, so the cache-insertion order of phase C is unchanged) and run each
+   group through [Tuner.query_batch] — all of a group's uncached features
+   come from one batched extractor-plan execution (DESIGN.md §14), and each
+   miss's top-k measurements spread over the pool.  Returns key -> result. *)
+let compute t miss_keys misses =
+  let computed = Hashtbl.create 8 in
   let group_order = ref [] in
   let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
   Array.iteri
@@ -338,28 +308,24 @@ let compute_batched t miss_keys misses computed =
           m.extractor_forwards <- m.extractor_forwards + Array.length idxs;
           m.traversals <- m.traversals + Array.length idxs;
           m.vm_batched_runs <- m.vm_batched_runs + 1);
-      let t0 = Robust.mono_now () in
       let results =
-        Waco.Tuner.query_batch slot.replicas.(0) t.machine ~k:t.k ~ef:t.ef
-          queries slot.index
-      in
-      let secs =
-        (Robust.mono_now () -. t0) /. float_of_int (max 1 (Array.length idxs))
+        Waco.Tuner.query_batch ?pool:t.pool slot.model t.machine ~k:t.k
+          ~ef:t.ef queries slot.index
       in
       Array.iteri
         (fun j i ->
-          let r = results.(j) in
-          note_result t r;
-          Hashtbl.replace computed miss_keys.(i) (r, secs))
+          note_result t results.(j);
+          Hashtbl.replace computed miss_keys.(i) results.(j))
         idxs)
-    (List.rev !group_order)
+    (List.rev !group_order);
+  computed
 
 (* The expired-before-compute answer: the asymptotic analyzer's
    guaranteed-not-terrible pick, unmeasured — there is no time left for a
    traversal, let alone a simulator run.  Degraded, so never cached. *)
 let deadline_fallback t slot ~key ~span m =
   let wl = Workload.of_coo ~id:key m in
-  let algo = slot.replicas.(0).Waco.Costmodel.algo in
+  let algo = slot.model.Waco.Costmodel.algo in
   let r =
     Waco.Tuner.degraded ~measure:false t.machine wl algo ~reason:"deadline"
   in
@@ -398,8 +364,8 @@ let process_stamped t (batch : (Protocol.query * float) list) :
         (q, deadline_at_of q ~arrival, span, outcome))
       batch
   in
-  (* Distinct cache misses, in first-appearance order (kept stable so pool
-     and sequential runs compute the same work list).  A miss whose deadline
+  (* Distinct cache misses, in first-appearance order (kept stable so every
+     pool size computes the same work list).  A miss whose deadline
      has already expired is not computed at all — it answers from the
      fallback below. *)
   let miss_order = ref [] in
@@ -424,29 +390,10 @@ let process_stamped t (batch : (Protocol.query * float) list) :
           end)
     parsed;
   let miss_keys = Array.of_list (List.rev !miss_order) in
-  (* Phase B: compute the distinct misses — concurrently when the pool and
-     the batch depth allow it, else slot-grouped through the batched
-     compiled plans.  Either way, one observability record per dispatch. *)
+  (* Phase B: compute the distinct misses, one observability record per
+     dispatch. *)
   Metrics.record_phase_b t.metrics (Array.length miss_keys);
-  let computed = Hashtbl.create 8 in
-  (match t.pool with
-  | Some p when Parallel.Pool.domains p > 1 && Array.length miss_keys > 1 ->
-      let work key ~worker =
-        let si, m, measure, deadline_at = Hashtbl.find misses key in
-        let t0 = Robust.mono_now () in
-        let r =
-          compute_one t t.slots.(si) ~worker ~key ~measure ?deadline_at m
-        in
-        (key, r, Robust.mono_now () -. t0)
-      in
-      let results =
-        Parallel.Pool.map_workers p (fun ~worker key -> work key ~worker)
-          miss_keys
-      in
-      Array.iter
-        (fun (key, r, secs) -> Hashtbl.replace computed key (r, secs))
-        results
-  | _ -> compute_batched t miss_keys misses computed);
+  let computed = compute t miss_keys misses in
   (* Phase C (sequential): cache insertion in deterministic order, one
      write-through persist per batch, answers in input order.  Degraded
      answers — including every deadline-truncated one — never enter the
@@ -454,7 +401,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
   let fresh = ref false in
   Array.iter
     (fun key ->
-      let r, _ = Hashtbl.find computed key in
+      let r = Hashtbl.find computed key in
       if not r.Waco.Tuner.degraded then begin
         Cache.add t.cache key
           {
@@ -473,7 +420,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
          with e ->
            Metrics.bump t.metrics (fun m ->
                m.cache_persist_failures <- m.cache_persist_failures + 1);
-           t.log
+           t.io.log
              (Printf.sprintf "cache: persist to %s failed: %s" file
                 (Printexc.to_string e)))
      | None -> ());
@@ -498,7 +445,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
           Protocol.Error_msg e
       | `Parsed (si, key, m) -> (
           match Hashtbl.find_opt computed key with
-          | Some (r, _secs) ->
+          | Some r ->
               span.Metrics.extract_s <- r.Waco.Tuner.feature_seconds;
               span.Metrics.traverse_s <- r.Waco.Tuner.search_seconds;
               span.Metrics.measure_s <- r.Waco.Tuner.measure_seconds;
@@ -559,7 +506,8 @@ let stats_json t =
           Array.fold_left
             (fun acc s -> acc + s.index.Waco.Tuner.asym_rejected)
             0 t.slots );
-        ("domains", Array.length t.slots.(0).replicas);
+        ( "domains",
+          match t.pool with Some p -> Parallel.Pool.domains p | None -> 1 );
         ("pending", t.pending_queries);
         ("max_pending", t.max_pending);
       ]
@@ -577,60 +525,8 @@ let stats_json t =
       ]
     t.metrics
 
-let close_conn conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-exception Write_stall
-
-(* Bounded non-blocking write: the whole frame goes out, or the connection
-   is declared stalled after [write_timeout_s] of the client not draining.
-   Connection fds are permanently non-blocking, so a full socket buffer
-   surfaces as EAGAIN and we wait for writability with the remaining
-   budget — never for longer.  The [Faults] hooks simulate a hostile
-   network here: capped partial writes and a drop mid-frame. *)
-let write_bounded t conn s =
-  let fd = conn.fd in
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let deadline = Robust.mono_now () +. t.write_timeout_s in
-  let rec go off =
-    if off < n then begin
-      if Robust.Faults.net_drop_tick () then
-        raise (Unix.Unix_error (Unix.EPIPE, "write", "injected drop"));
-      let len = n - off in
-      let len =
-        match Robust.Faults.net_io_cap () with
-        | Some cap -> min cap len
-        | None -> len
-      in
-      match Unix.write fd b off len with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          let remaining = deadline -. Robust.mono_now () in
-          if remaining <= 0.0 then raise Write_stall;
-          (match Unix.select [] [ fd ] [] remaining with
-          | _, [], _ -> raise Write_stall
-          | _ -> ());
-          go off
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    end
-  in
-  go 0
-
 let send t conn (resp : Protocol.response) =
-  if conn.alive then
-    match write_bounded t conn (Protocol.response_to_frame resp) with
-    | () -> ()
-    | exception Write_stall ->
-        Metrics.bump t.metrics (fun m -> m.write_stalls <- m.write_stalls + 1);
-        t.log "client not draining responses; dropping connection";
-        close_conn conn
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        t.log "client went away mid-response";
-        close_conn conn
+  Loop.send t.io conn (Protocol.response_to_frame resp)
 
 (* The [Busy] hint scales with how deep the backlog already is: a client
    told to come back later should not come back into the same wall. *)
@@ -642,19 +538,16 @@ let retry_hint t =
    damage.  Past the pending high-water mark a new query answers [Busy]
    instead of queueing — control requests (stats/ping/shutdown) always get
    through, so an overloaded daemon stays observable and stoppable. *)
-let drain_frames t conn =
+let drain_frames t (conn : conn) =
   let rec go () =
-    let s = Buffer.contents conn.inbuf in
-    match Protocol.decode_frame s with
-    | `Need _ -> ()
+    match Loop.peel conn.inbuf with
+    | `Need -> ()
     | `Bad reason ->
         Metrics.bump t.metrics (fun m ->
             m.protocol_errors <- m.protocol_errors + 1);
         send t conn (Protocol.Error_msg ("protocol: " ^ reason));
-        close_conn conn
-    | `Frame (msg, body, consumed) -> (
-        Buffer.clear conn.inbuf;
-        Buffer.add_substring conn.inbuf s consumed (String.length s - consumed);
+        Loop.close conn
+    | `Frame (msg, body, _) -> (
         match Protocol.request_of_frame ~msg body with
         | Ok req ->
             Metrics.bump t.metrics (fun m -> m.requests <- m.requests + 1);
@@ -714,137 +607,22 @@ let drain_queue t =
         List.iter2 (fun conn resp -> send t conn resp) conns responses
   done
 
-(* Connection reaper: a connection stalled mid-frame (a trickler feeding a
-   byte per tick, or a drop that left half a header) dies after
-   [frame_timeout_s]; one that has sent nothing at all for [idle_timeout_s]
-   dies too.  Both free their fd — neither can pin the select loop's fd set
-   forever. *)
-let reap t conns =
-  let now = Robust.mono_now () in
-  List.iter
-    (fun conn ->
-      if conn.alive then
-        if
-          conn.partial_since > 0.0
-          && now -. conn.partial_since > t.frame_timeout_s
-        then begin
-          Metrics.bump t.metrics (fun m ->
-              m.reaped_trickle <- m.reaped_trickle + 1);
-          t.log "reaped connection stalled mid-frame";
-          close_conn conn
-        end
-        else if now -. conn.last_byte > t.idle_timeout_s then begin
-          Metrics.bump t.metrics (fun m -> m.reaped_idle <- m.reaped_idle + 1);
-          t.log "reaped idle connection";
-          close_conn conn
-        end)
-    conns
-
 let run ?(on_ready = ignore) t =
-  (* A dying client must not kill the daemon with SIGPIPE; writes surface
-     EPIPE instead, handled per connection. *)
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
-  in
-  let addr = Addr.of_string t.socket_path in
-  let listen_fd = Addr.listen addr in
-  let addr = Addr.resolve_bound addr listen_fd in
-  t.bound <- Some (Addr.to_string addr);
-  t.log (Printf.sprintf "listening on %s" (Addr.to_string addr));
-  on_ready ();
-  let conns : conn list ref = ref [] in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Addr.cleanup addr;
-    List.iter close_conn !conns;
-    (match t.cache_file with
-    | Some file -> (
-        try Cache.save t.cache file
-        with e ->
-          t.log
-            (Printf.sprintf "cache: final persist failed: %s"
-               (Printexc.to_string e)))
-    | None -> ());
-    match prev_sigpipe with
-    | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
-  in
-  (* The select timeout doubles as the reaper tick: fine-grained enough to
-     honor short test timeouts, never busier than once per 20 ms. *)
-  let tick =
-    Float.max 0.02
-      (Float.min 1.0 (Float.min t.idle_timeout_s t.frame_timeout_s /. 4.0))
-  in
-  Fun.protect ~finally (fun () ->
-      let chunk = Bytes.create 65536 in
-      while not t.stopping do
-        conns := List.filter (fun c -> c.alive) !conns;
-        let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
-        match Unix.select fds [] [] tick with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | readable, _, _ ->
-            (* New connections. *)
-            if List.mem listen_fd readable then begin
-              let accepting = ref true in
-              while !accepting do
-                match Unix.accept listen_fd with
-                | fd, _ ->
-                    (* Connection fds stay non-blocking for their whole
-                       life: reads can spuriously EAGAIN (handled below)
-                       and writes go through the bounded writer. *)
-                    Unix.set_nonblock fd;
-                    Addr.nodelay fd;
-                    conns :=
-                      {
-                        fd;
-                        inbuf = Buffer.create 1024;
-                        alive = true;
-                        last_byte = Robust.mono_now ();
-                        partial_since = 0.0;
-                      }
-                      :: !conns
-                | exception
-                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                    accepting := false
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              done
-            end;
-            (* Bytes from existing connections. *)
-            List.iter
-              (fun conn ->
-                if conn.alive && List.mem conn.fd readable then begin
-                  if Robust.Faults.net_drop_tick () then close_conn conn
-                  else
-                    let len = Bytes.length chunk in
-                    let len =
-                      (* Injected partial read: a hostile peer (or kernel)
-                         handing over a few bytes at a time. *)
-                      match Robust.Faults.net_io_cap () with
-                      | Some cap -> min cap len
-                      | None -> len
-                    in
-                    match Unix.read conn.fd chunk 0 len with
-                    | 0 -> close_conn conn
-                    | n ->
-                        conn.last_byte <- Robust.mono_now ();
-                        Buffer.add_subbytes conn.inbuf chunk 0 n;
-                        drain_frames t conn;
-                        (* Track how long the current partial frame (if
-                           any) has been accumulating, for the reaper. *)
-                        if Buffer.length conn.inbuf = 0 then
-                          conn.partial_since <- 0.0
-                        else if conn.partial_since = 0.0 then
-                          conn.partial_since <- Robust.mono_now ()
-                    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                        close_conn conn
-                    | exception
-                        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                      ->
-                        ()
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                end)
-              !conns;
-            (* The request scheduler, then the reaper. *)
-            drain_queue t;
-            reap t !conns
-      done)
+  Loop.run t.io ~endpoint:t.socket_path
+    ~on_listen:(fun bound ->
+      t.bound <- Some bound;
+      t.io.log (Printf.sprintf "listening on %s" bound);
+      on_ready ())
+    ~stopping:(fun () -> t.stopping)
+    ~accept:ignore ~on_bytes:(drain_frames t)
+    ~links:(fun () -> [])
+    ~after_round:(fun () -> drain_queue t)
+    ~on_exit:(fun () ->
+      match t.cache_file with
+      | Some file -> (
+          try Cache.save t.cache file
+          with e ->
+            t.io.log
+              (Printf.sprintf "cache: final persist failed: %s"
+                 (Printexc.to_string e)))
+      | None -> ())

@@ -4,12 +4,13 @@
     micro-batching, deadlines, shedding and the reapers behave identically
     on both.
 
-    A single [select] loop owns all IO; between IO rounds the request
-    scheduler drains decoded queries in micro-batches — per-batch the
-    distinct cache misses (deduplicated by sparsity fingerprint) run
-    concurrently on the worker pool's per-domain model replicas, then fresh
-    answers enter the LRU cache and are persisted write-through inside the
-    {!Robust} envelope.  FIFO order is preserved per connection.
+    The shared {!Loop} owns all IO; between IO rounds the request scheduler
+    drains decoded queries in micro-batches — per batch, the distinct cache
+    misses (deduplicated by sparsity fingerprint) of each kernel take one
+    batched feature extraction, their top-k measurements spread over the
+    worker pool, then fresh answers enter the LRU cache and are persisted
+    write-through inside the {!Robust} envelope.  FIFO order is preserved
+    per connection.
 
     The daemon degrades under overload and hostile clients instead of
     hanging: per-query [deadline_ms] budgets (expired queries answer from
@@ -44,11 +45,10 @@ val create :
   t
 (** Validates model/index compatibility ({!Waco.Tuner.validate_compat} —
     raises [Robust.Load_error] on an embedding-dimension mismatch, citing
-    [index_file]), builds one forward-only model replica per pool domain,
-    and loads [cache_file] when it exists: a snapshot whose model digest,
-    index fingerprint and machine name all match comes back warm; anything
-    else (stale stamp, damaged envelope, a pre-kernel un-namespaced entry)
-    starts cold — never garbage.
+    [index_file]) and loads [cache_file] when it exists: a snapshot whose
+    model digest, index fingerprint and machine name all match comes back
+    warm; anything else (stale stamp, damaged envelope, a pre-kernel
+    un-namespaced entry) starts cold — never garbage.
 
     [extra] adds one serving slot per additional [(model, index,
     index_file)] triple: the daemon then answers [kernel=] queries from the
@@ -77,7 +77,7 @@ val create :
 val process_batch : t -> Protocol.query list -> Protocol.response list
 (** One micro-batch through the request scheduler, bypassing the socket —
     exactly what {!run} does for a contiguous run of queued queries
-    (parse, fingerprint, dedup, cache probe, concurrent compute of the
+    (parse, fingerprint, dedup, cache probe, batched compute of the
     distinct misses, write-through persist).  Responses come back in input
     order.  Exposed so tests and the bench harness can drive batches
     deterministically.  Every query is stamped as arriving now, so a

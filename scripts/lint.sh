@@ -24,8 +24,10 @@ fi
 # the serve layer and the tuner must never read the wall clock directly —
 # Robust.mono_now / Robust.wall_now are the only entry points (both live in
 # lib/robust, the one place allowed to call Unix.gettimeofday).  lib/serve
-# includes the scale-out router (lib/serve/router.ml), whose redial backoff
-# and reaper clocks are deadline paths like any other.
+# includes the shared IO loop (lib/serve/loop.ml), whose reaper, partial-frame
+# and bounded-write clocks time out clients, and the scale-out router
+# (lib/serve/router.ml), whose redial backoff is a deadline path like any
+# other.
 if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml 2>/dev/null; then
   echo "lint.sh: Unix.gettimeofday on a deadline/elapsed path (use Robust.mono_now)" >&2
   status=1
@@ -37,6 +39,16 @@ fi
 # give up the batching the phase-B throughput numbers rest on.
 if grep -rn "Extractor\.forward\|Costmodel\.predict " lib/serve 2>/dev/null; then
   echo "lint.sh: eager forward/predict in lib/serve (use the batched VM entry points)" >&2
+  status=1
+fi
+# The same rule for phase B's one path (DESIGN.md §10): serving reaches the
+# model only through Tuner.query_batch, on one model per kernel slot that
+# only the loop's thread touches.  The unbatched Tuner.query gives up the
+# batched plan execution; Pool.map_workers and Costmodel.replicate bring
+# back per-domain replicas, one feature cache per domain and a second path
+# to test.  The pool's place is Tuner.tune's measurement fan-out.
+if grep -rnE 'Tuner\.query([^_]|$)|map_workers|Costmodel\.replicate' lib/serve 2>/dev/null; then
+  echo "lint.sh: unbatched query or per-domain replicas in lib/serve (use Tuner.query_batch ?pool)" >&2
   status=1
 fi
 

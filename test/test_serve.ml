@@ -260,6 +260,117 @@ let test_framing_damage () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized encode accepted"
 
+(* The loop's incremental peeler against the reference: random request and
+   response frames, concatenated, cut at random points (1-byte trickles,
+   mid-header cuts, several frames per chunk) and fed piece by piece, must
+   yield exactly the (msg, body, raw bytes) sequence of folding
+   [Protocol.decode_frame] over the whole string — and, with a bad magic
+   injected at a frame boundary, [`Bad] at exactly that frame. *)
+let qcheck_peeler_matches_decoder =
+  QCheck.Test.make ~name:"loop peeler = decode_frame fold (prop)" ~count:60
+    QCheck.(pair small_nat (int_range 0 3))
+    (fun (seed, mode) ->
+      let rng = Rng.create (seed + 7) in
+      let inline n =
+        Serve.Protocol.Inline
+          {
+            nrows = 64;
+            ncols = 64;
+            entries =
+              Array.init n (fun i -> (i mod 64, (i * 7) mod 64, float_of_int i));
+          }
+      in
+      let query source =
+        Serve.Protocol.Query
+          { qid = "p"; source; measure = true; deadline_ms = 0; kernel = None }
+      in
+      let random_frame () =
+        match Rng.int rng 9 with
+        | 0 -> Serve.Protocol.request_to_frame Serve.Protocol.Ping
+        | 1 -> Serve.Protocol.request_to_frame Serve.Protocol.Stats
+        | 2 -> Serve.Protocol.request_to_frame (query (Serve.Protocol.Path "m.mtx"))
+        | 3 | 4 ->
+            Serve.Protocol.request_to_frame (query (inline (Rng.int rng 600)))
+        | 5 -> Serve.Protocol.response_to_frame Serve.Protocol.Pong
+        | 6 ->
+            Serve.Protocol.response_to_frame
+              (Serve.Protocol.Busy { retry_after_ms = Rng.int rng 2000 })
+        | 7 ->
+            Serve.Protocol.response_to_frame
+              (Serve.Protocol.Stats_json (String.make (Rng.int rng 3000) 'x'))
+        | _ -> Serve.Protocol.response_to_frame (Serve.Protocol.Error_msg "e")
+      in
+      let frames = List.init (1 + Rng.int rng 8) (fun _ -> random_frame ()) in
+      (* Mode 3 injects a bad magic at a random frame boundary. *)
+      let bad_at =
+        if mode = 3 then Some (Rng.int rng (List.length frames + 1)) else None
+      in
+      let bad =
+        [| "XSRV"; "WSRX"; "WS\000V" |].(Rng.int rng 3)
+        ^ "\001\001\000\000\000\000"
+      in
+      let parts =
+        List.concat
+          (List.mapi
+             (fun i f -> if bad_at = Some i then [ bad; f ] else [ f ])
+             frames)
+        @ if bad_at = Some (List.length frames) then [ bad ] else []
+      in
+      let whole = String.concat "" parts in
+      let rec reference s acc =
+        match Serve.Protocol.decode_frame s with
+        | `Frame (msg, body, n) ->
+            reference
+              (String.sub s n (String.length s - n))
+              ((msg, body, String.sub s 0 n) :: acc)
+        | `Need _ -> (List.rev acc, false)
+        | `Bad _ -> (List.rev acc, true)
+      in
+      (* Cut points: a 1-byte trickle, small chunks that split headers, or
+         chunks spanning several frames. *)
+      let pieces =
+        let n = String.length whole in
+        let rec cut pos acc =
+          if pos >= n then List.rev acc
+          else
+            let len =
+              match mode with
+              | 0 -> 1
+              | 1 -> 1 + Rng.int rng 16
+              | _ -> 1 + Rng.int rng 8192
+            in
+            let len = min len (n - pos) in
+            cut (pos + len) (String.sub whole pos len :: acc)
+        in
+        cut 0 []
+      in
+      let ib = Serve.Loop.inbuf () in
+      let got = ref [] and failed = ref false in
+      List.iter
+        (fun piece ->
+          if not !failed then begin
+            Serve.Loop.feed ib (Bytes.of_string piece) 0 (String.length piece);
+            let rec go () =
+              match Serve.Loop.peel ib with
+              | `Frame f ->
+                  got := f :: !got;
+                  go ()
+              | `Need -> ()
+              | `Bad _ -> failed := true
+            in
+            go ()
+          end)
+        pieces;
+      let expect_frames, expect_bad = reference whole [] in
+      let n_before_bad =
+        match bad_at with Some k -> k | None -> List.length frames
+      in
+      List.rev !got = expect_frames
+      && !failed = expect_bad
+      && expect_bad = (bad_at <> None)
+      && List.length expect_frames = n_before_bad
+      && (!failed || Serve.Loop.buffered ib = 0))
+
 let test_inline_validation () =
   let decode_body body = Serve.Protocol.request_of_frame ~msg:Serve.Protocol.msg_query body in
   let expect_error label body =
@@ -1325,6 +1436,51 @@ let test_hostile_connections_reaped () =
         (Serve.Client.ping c);
       Serve.Client.close c)
 
+(* [Unix.select] cannot watch an fd at or past FD_SETSIZE (1024): one such
+   fd in the set fails the whole call with EINVAL.  A daemon that accepts
+   past that line must refuse the connection, not die on its next tick.
+   Filler fds take every number below 1023, so the test's own socket lands
+   on 1023 (still selectable) and the daemon's accept on 1024. *)
+let test_fdset_refusal () =
+  with_inproc_server (fun ~socket ~server ->
+      let fd_num (fd : Unix.file_descr) : int = Obj.magic fd in
+      let fillers = ref [] in
+      let free_fillers () =
+        List.iter Unix.close !fillers;
+        fillers := []
+      in
+      Fun.protect ~finally:free_fillers (fun () ->
+          let filler () =
+            let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            fillers := fd :: !fillers;
+            fd_num fd
+          in
+          (* Fill through 1024 (under a 1024-fd limit the daemon's accept
+             would fail instead: skip), then free the top two. *)
+          let rec fill () = if filler () < 1024 then fill () in
+          (match fill () with
+          | () -> ()
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+              Alcotest.skip ());
+          (match !fillers with
+          | fd1024 :: fd1023 :: rest ->
+              Unix.close fd1024;
+              Unix.close fd1023;
+              fillers := rest
+          | _ -> assert false);
+          let client = raw_connect socket in
+          Alcotest.(check int) "client socket just below the line" 1023
+            (fd_num client);
+          let refused = wait_eof client in
+          Unix.close client;
+          Alcotest.(check bool) "connection past FD_SETSIZE refused" true
+            refused);
+      let c = wait_connect socket in
+      Alcotest.(check bool) "daemon still serving" true (Serve.Client.ping c);
+      Serve.Client.close c;
+      Alcotest.(check (option int)) "refusal counted" (Some 1)
+        (Serve.Metrics.counter (Serve.Server.metrics server) "refused_fdset"))
+
 (* Client-side failure is bounded: recv against a mute peer times out,
    connect to a dead path fails fast, and query_with_retry gives up with an
    error after its attempts instead of hanging. *)
@@ -1375,6 +1531,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
           Alcotest.test_case "framing damage" `Quick test_framing_damage;
+          QCheck_alcotest.to_alcotest qcheck_peeler_matches_decoder;
           Alcotest.test_case "inline validation" `Quick test_inline_validation;
           Alcotest.test_case "kernel field" `Quick test_kernel_field;
           Alcotest.test_case "fuzz: decoder is total" `Quick test_fuzz_total;
@@ -1404,6 +1561,8 @@ let () =
             test_hostile_connections_reaped;
           Alcotest.test_case "client failure is bounded" `Quick
             test_client_bounded_failure;
+          Alcotest.test_case "fds past FD_SETSIZE refused" `Quick
+            test_fdset_refusal;
         ] );
       ( "kernels",
         [
