@@ -480,23 +480,39 @@ let kernels ~force () =
   let ch = Waco.Config.channels in
   Printf.printf "  pattern: %dx%d, %d sites; channels=%d\n%!" h w nsites ch;
 
-  (* -- kernel-map construction, stride-2 3x3 (the pyramid's dominant op) -- *)
-  let flat_map = Nn.Sparse_conv.build_map ~ksize:3 ~stride:2 smap.Nn.Smap.coords ~h ~w in
-  let ref_map = Nn.Sparse_conv_ref.build_map ~ksize:3 ~stride:2 pairs ~h ~w in
-  (* Parity guard: the comparison below is only meaningful if both builders
-     produce the same map. *)
-  assert (
-    Array.map (fun (r, c) -> (r * flat_map.Nn.Sparse_conv.out_w) + c)
-      ref_map.Nn.Sparse_conv_ref.out_coords
-    = flat_map.Nn.Sparse_conv.out_coords);
-  let map_build_ns, map_build_bytes =
-    measure ~iters:200 (fun () ->
-        ignore (Nn.Sparse_conv.build_map ~ksize:3 ~stride:2 smap.Nn.Smap.coords ~h ~w))
+  (* -- kernel-map construction: stride-2 3x3 (every strided pyramid layer)
+     and stride-1 5x5 (layer 0, the pyramid's dominant op) -- *)
+  let map_row ~ksize ~stride ~iters =
+    let flat_map = Nn.Sparse_conv.build_map ~ksize ~stride smap.Nn.Smap.coords ~h ~w in
+    let ref_map = Nn.Sparse_conv_ref.build_map ~ksize ~stride pairs ~h ~w in
+    (* Parity guard: the comparison is only meaningful if both builders
+       produce the same map, pair order included. *)
+    let ref_pairs = Array.concat (Array.to_list ref_map.Nn.Sparse_conv_ref.pairs) in
+    if
+      Array.map (fun (r, c) -> (r * flat_map.Nn.Sparse_conv.out_w) + c)
+        ref_map.Nn.Sparse_conv_ref.out_coords
+      <> flat_map.Nn.Sparse_conv.out_coords
+      || Array.map fst ref_pairs <> flat_map.Nn.Sparse_conv.pairs_in
+      || Array.map snd ref_pairs <> flat_map.Nn.Sparse_conv.pairs_out
+      || Array.map Array.length ref_map.Nn.Sparse_conv_ref.pairs
+         <> Array.init (ksize * ksize) (fun o ->
+                flat_map.Nn.Sparse_conv.off_start.(o + 1)
+                - flat_map.Nn.Sparse_conv.off_start.(o))
+    then failwith (Printf.sprintf "kernels: k%d s%d flat/ref maps diverge" ksize stride);
+    let ns, bytes =
+      measure ~iters (fun () ->
+          ignore (Nn.Sparse_conv.build_map ~ksize ~stride smap.Nn.Smap.coords ~h ~w))
+    in
+    let ref_ns, ref_bytes =
+      measure ~iters (fun () ->
+          ignore (Nn.Sparse_conv_ref.build_map ~ksize ~stride pairs ~h ~w))
+    in
+    (ns, bytes, ref_ns, ref_bytes)
   in
-  let map_build_ref_ns, map_build_ref_bytes =
-    measure ~iters:200 (fun () ->
-        ignore (Nn.Sparse_conv_ref.build_map ~ksize:3 ~stride:2 pairs ~h ~w))
+  let map_build_ns, map_build_bytes, map_build_ref_ns, map_build_ref_bytes =
+    map_row ~ksize:3 ~stride:2 ~iters:200
   in
+  let k5s1_ns, k5s1_bytes, k5s1_ref_ns, k5s1_ref_bytes = map_row ~ksize:5 ~stride:1 ~iters:100 in
 
   (* -- conv forward+backward over a prebuilt map (the per-epoch hot loop) -- *)
   let conv = Nn.Sparse_conv.create rng ~name:"bench.conv" ~in_ch:ch ~out_ch:ch ~ksize:3 ~stride:1 in
@@ -550,7 +566,7 @@ let kernels ~force () =
      matrix pays during tuning; warm = maps cached, the per-epoch cost.  The
      reference path is the same arch through Sparse_conv_ref + allocating
      relu/pool/linear — the pre-PR op sequence. *)
-  let arch = (5, 1) :: List.init Waco.Config.waconet_strided_layers (fun _ -> (3, 2)) in
+  let arch = Waco.Extractor.conv_layers Waco.Extractor.Waconet in
   let nconv = List.length arch in
   let convs =
     Array.of_list
@@ -594,17 +610,16 @@ let kernels ~force () =
     measure ~iters:30 (fun () -> ignore (flat_layers warm_pyr))
   in
   let ref_maps_of () =
-    let maps = Array.make nconv ref_map in
     let coords = ref pairs and rh = ref h and rw = ref w in
-    List.iteri
-      (fun i (ksize, stride) ->
-        let m = Nn.Sparse_conv_ref.build_map ~ksize ~stride !coords ~h:!rh ~w:!rw in
-        maps.(i) <- m;
-        coords := m.Nn.Sparse_conv_ref.out_coords;
-        rh := m.Nn.Sparse_conv_ref.out_h;
-        rw := m.Nn.Sparse_conv_ref.out_w)
-      arch;
-    maps
+    Array.of_list
+      (List.map
+         (fun (ksize, stride) ->
+           let m = Nn.Sparse_conv_ref.build_map ~ksize ~stride !coords ~h:!rh ~w:!rw in
+           coords := m.Nn.Sparse_conv_ref.out_coords;
+           rh := m.Nn.Sparse_conv_ref.out_h;
+           rw := m.Nn.Sparse_conv_ref.out_w;
+           m)
+         arch)
   in
   let ref_layers maps =
     let cur = ref (Array.make nsites 1.0) in
@@ -699,6 +714,7 @@ let kernels ~force () =
       (ref_bytes /. Float.max 1.0 bytes)
   in
   row "map-build" map_build_ns map_build_bytes map_build_ref_ns map_build_ref_bytes;
+  row "map-build-k5s1" k5s1_ns k5s1_bytes k5s1_ref_ns k5s1_ref_bytes;
   row "conv-fwd+bwd" conv_ns conv_bytes conv_ref_ns conv_ref_bytes;
   row "linear-fwd+bwd" linear_ns linear_bytes linear_ref_ns linear_ref_bytes;
   row "extractor-cold" extractor_cold_ns extractor_cold_bytes extractor_cold_ref_ns
@@ -754,6 +770,10 @@ let kernels ~force () =
           ("map_build_bytes", map_build_bytes);
           ("map_build_ref_ns", map_build_ref_ns);
           ("map_build_ref_bytes", map_build_ref_bytes);
+          ("map_build_k5s1_ns", k5s1_ns);
+          ("map_build_k5s1_bytes", k5s1_bytes);
+          ("map_build_k5s1_ref_ns", k5s1_ref_ns);
+          ("map_build_k5s1_ref_bytes", k5s1_ref_bytes);
           ("conv_fwdbwd_ns", conv_ns);
           ("conv_fwdbwd_bytes", conv_bytes);
           ("conv_fwdbwd_ref_ns", conv_ref_ns);

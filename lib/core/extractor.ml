@@ -24,23 +24,26 @@ let kind_name = function
   | Minkowski -> "MinkowskiNet"
   | Waconet -> "WACONet"
 
-(* Pattern input: raw sparse map, lazily-downsampled map, and hand statistics
-   (log-scaled).  Built once per matrix. *)
+(* Pattern input: raw sparse map, plus the lazily built downsampled map and
+   hand statistics (log-scaled) that only [Dense_conv] and [Human] read.
+   Built once per matrix. *)
 type input = {
   id : string;
   smap : Nn.Smap.t;
   down : Nn.Smap.t Lazy.t;
-  human : float array;
+  human : float array Lazy.t;
 }
 
 let input_of_coo ~id (m : Coo.t) =
-  let s = Stats.compute m in
   {
     id;
     smap = Nn.Smap.of_coo m;
     down = lazy (Nn.Smap.downsample m ~target:Config.dense_conv_target);
     human =
-      Array.map (fun x -> log (1.0 +. x)) (Stats.human_features ~rich:false s);
+      lazy
+        (Array.map
+           (fun x -> log (1.0 +. x))
+           (Stats.human_features ~rich:false (Stats.compute m)));
   }
 
 let input_of_tensor3 ~id (t : Tensor3.t) = input_of_coo ~id (Tensor3.flatten t)
@@ -65,6 +68,10 @@ let conv_arch = function
   | Minkowski -> ([ (5, 1); (3, 1); (3, 1); (3, 1) ], false, false)
   | Dense_conv -> ((5, 1) :: List.init 6 (fun _ -> (3, 2)), false, true)
   | Human -> ([], false, false)
+
+let conv_layers kind =
+  let arch, _, _ = conv_arch kind in
+  arch
 
 let create rng kind =
   let out_dim = Config.feature_dim in
@@ -161,7 +168,7 @@ let pyramid_of (c : conv_stack) (input : input) =
    across calls. *)
 let forward t (input : input) =
   match t.body with
-  | Mlp m -> Array.sub (Nn.Mlp.forward m ~batch:1 input.human) 0 t.out_dim
+  | Mlp m -> Array.sub (Nn.Mlp.forward m ~batch:1 (Lazy.force input.human)) 0 t.out_dim
   | Conv c ->
       let pyr = pyramid_of c input in
       let nconv = Array.length c.convs in
@@ -290,7 +297,7 @@ let forward_batch (cp : compiled) (inputs : input array) =
   | Mlp _ ->
       let buf = Vm.Plan.buffer cp.plan cp.input_buf ~len:(batch * cp.in_width) in
       for n = 0 to batch - 1 do
-        let hv = (Array.unsafe_get inputs n).human in
+        let hv = Lazy.force (Array.unsafe_get inputs n).human in
         if Array.length hv < cp.in_width then
           invalid_arg "Extractor.forward_batch: human feature width";
         Array.blit hv 0 buf (n * cp.in_width) cp.in_width

@@ -15,19 +15,24 @@ type kind = Human | Dense_conv | Minkowski | Waconet
 
 val kind_name : kind -> string
 
-(** Pattern input: raw sparse map, lazily downsampled map and log-scaled hand
-    statistics — built once per matrix and shared by all extractor kinds. *)
+(** Pattern input: raw sparse map, plus the downsampled map and log-scaled
+    hand statistics, built on first use (only [Dense_conv] and [Human] read
+    them) — built once per matrix and shared by all extractor kinds. *)
 type input = {
   id : string;  (** cache key; unique per matrix *)
   smap : Nn.Smap.t;
   down : Nn.Smap.t Lazy.t;
-  human : float array;
+  human : float array Lazy.t;
 }
 
 val input_of_coo : id:string -> Sptensor.Coo.t -> input
 
 val input_of_tensor3 : id:string -> Sptensor.Tensor3.t -> input
 (** Via the mode-0 flattening. *)
+
+val conv_layers : kind -> (int * int) list
+(** [(ksize, stride)] per conv layer of the kind's stack, in order ([[]] for
+    [Human]); [Dense_conv] runs it over the downsampled map. *)
 
 type t = { kind : kind; body : body; out_dim : int }
 and body

@@ -1,9 +1,9 @@
 (* Open-addressing int -> int hash table over nonnegative keys: the
    allocation-lean replacement for the polymorphic [(int * int, int) Hashtbl]
-   that [Sparse_conv.build_map] used to key by coordinate pairs.  Two flat int
-   arrays, linear probing, no boxing anywhere on the lookup path, and fully
-   deterministic (no seeding), so table users keep byte-identical iteration
-   behaviour across runs. *)
+   that [Sparse_conv.build_map] used to key by coordinate pairs (now only for
+   strided maps).  Two flat int arrays, linear probing, no boxing anywhere on
+   the lookup path, and fully deterministic (no seeding), so table users keep
+   byte-identical iteration behaviour across runs. *)
 
 type t = {
   mutable keys : int array; (* -1 = empty slot *)
@@ -40,27 +40,19 @@ let find t k ~default =
   done;
   !res
 
-let mem t k = find t k ~default:(-1) >= 0
-
-let rec set t k v =
+let rec find_or_add t k v =
   if 2 * (t.count + 1) > t.mask + 1 then grow t;
   let i = ref (slot t k) in
-  let continue = ref true in
-  while !continue do
-    let kk = t.keys.(!i) in
-    if kk = k then begin
-      (* Replace: the newest binding wins, matching Hashtbl.add+find_opt. *)
-      t.vals.(!i) <- v;
-      continue := false
-    end
-    else if kk = -1 then begin
-      t.keys.(!i) <- k;
-      t.vals.(!i) <- v;
-      t.count <- t.count + 1;
-      continue := false
-    end
-    else i := (!i + 1) land t.mask
-  done
+  while t.keys.(!i) <> k && t.keys.(!i) <> -1 do
+    i := (!i + 1) land t.mask
+  done;
+  if t.keys.(!i) = k then t.vals.(!i)
+  else begin
+    t.keys.(!i) <- k;
+    t.vals.(!i) <- v;
+    t.count <- t.count + 1;
+    v
+  end
 
 and grow t =
   let okeys = t.keys and ovals = t.vals in
@@ -69,4 +61,4 @@ and grow t =
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
   t.count <- 0;
-  Array.iteri (fun i k -> if k >= 0 then set t k ovals.(i)) okeys
+  Array.iteri (fun i k -> if k >= 0 then ignore (find_or_add t k ovals.(i))) okeys

@@ -1,6 +1,7 @@
 (** Open-addressing int -> int hash table over nonnegative keys (two flat int
     arrays, linear probing): zero allocation on the lookup path and fully
-    deterministic — the coordinate table behind {!Sparse_conv.build_map}. *)
+    deterministic — the output-site table behind strided
+    {!Sparse_conv.build_map}. *)
 
 type t
 
@@ -12,8 +13,6 @@ val create : int -> t
 val find : t -> int -> default:int -> int
 (** The value bound to the key, or [default].  Allocates nothing. *)
 
-val mem : t -> int -> bool
-
-val set : t -> int -> int -> unit
-(** Insert or replace: the newest binding wins (like [Hashtbl.add] followed by
-    [Hashtbl.find_opt]). *)
+val find_or_add : t -> int -> int -> int
+(** [find_or_add t k v] is the value bound to [k]; an unbound [k] is first
+    bound to [v] (so the result is [v]).  One probe sequence either way. *)

@@ -87,92 +87,205 @@ let replicate t =
 (* Kernel maps depend only on the coordinate set; they are built once per
    input pattern and reused across epochs via [Pyramid] caching.
 
-   Construction is two passes over an int-keyed coordinate table — no boxed
-   keys, no list consing.  The probe key width is [out_w + half + 1], not
-   [out_w]: a window cell just right of the grid ([tc in w .. w-1+half]) can
-   legitimately halve onto an existing output column, and a plain [out_w]
-   encoding would alias such probes onto the next row's cells. *)
-let build_map ~ksize ~stride (coords : int array) ~h ~w =
+   Both builders count pairs per kernel offset on a first pass and fill on a
+   second, walking input sites in ascending order and filling each offset's
+   segment back to front — so every segment lists input indices in
+   descending order, the order the historical list-consing builder produced
+   (DESIGN.md §9).  Neither keeps an n * ksize^2 per-(site, offset) array
+   between the passes. *)
+
+(* CSR segment bounds from per-offset pair counts; [counts] is turned into
+   the per-offset fill cursor (each segment's end). *)
+let segments counts =
+  let nk = Array.length counts in
+  let off_start = Array.make (nk + 1) 0 in
+  for o = 0 to nk - 1 do
+    off_start.(o + 1) <- off_start.(o) + counts.(o)
+  done;
+  Array.blit off_start 1 counts 0 nk;
+  off_start
+
+(* Stride 1: a sorted sweep instead of hash probes.  Each site gets the
+   padded key [row * (w + 2*half) + col], so a window [key - half, key + half]
+   never wraps onto a neighbouring row, and over row-major-sorted keys the
+   window of one kernel row is a short contiguous run.  One sweep per kernel
+   row moves a cursor forward to each site's window start (window starts
+   only grow with the site's key); a sentinel key past the end ends every
+   scan.  Within a run of equal keys the last — the highest input index, the
+   binding the reference's table keeps — is the output site.
+
+   Inputs are row-major sorted in practice (the COO invariant, kept by
+   [Smap.of_coo], [Smap.downsample] and every stride-1 output).  An unsorted
+   input is swept in a stably sorted order; its pair indices are then mapped
+   back and each segment re-sorted into descending input order. *)
+let sweep_map ~ksize (coords : int array) ~h ~w =
+  let half = ksize / 2 in
+  let nk = ksize * ksize in
+  let n = Array.length coords in
+  let wp = w + (2 * half) in
+  let sorted =
+    let ok = ref true and p = ref 1 in
+    while !ok && !p < n do
+      ok := coords.(!p - 1) <= coords.(!p);
+      incr p
+    done;
+    !ok
+  in
+  let perm =
+    if sorted then [||]
+    else begin
+      let perm = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> Int.compare coords.(a) coords.(b)) perm;
+      perm
+    end
+  in
+  let keys = Array.make (n + 1) max_int in
+  for p = 0 to n - 1 do
+    let k = coords.(if sorted then p else perm.(p)) in
+    let r = k / w in
+    keys.(p) <- (r * wp) + k - (r * w)
+  done;
+  let counts = Array.make nk 0 in
+  let sweep ~fill pairs_in pairs_out =
+    for a = 0 to ksize - 1 do
+      (* Kernel row dy = a - half: site p's window starts at
+         keys.(p) - dy * wp - half and spans 2 * half + 1 keys; the pair
+         at key kq has offset a * ksize + (wlo + 2 * half - kq). *)
+      let shift = ((a - half) * wp) + half in
+      let obase = (a * ksize) + (2 * half) in
+      let q = ref 0 in
+      for p = 0 to n - 1 do
+        let wlo = keys.(p) - shift in
+        while keys.(!q) < wlo do
+          incr q
+        done;
+        let whi = wlo + (2 * half) in
+        let r = ref !q in
+        while keys.(!r) <= whi do
+          let kq = keys.(!r) in
+          while keys.(!r + 1) = kq do
+            incr r
+          done;
+          let off = obase + wlo - kq in
+          if fill then begin
+            let pos = counts.(off) - 1 in
+            counts.(off) <- pos;
+            pairs_in.(pos) <- p;
+            pairs_out.(pos) <- !r
+          end
+          else counts.(off) <- counts.(off) + 1;
+          incr r
+        done
+      done
+    done
+  in
+  sweep ~fill:false [||] [||];
+  let off_start = segments counts in
+  let total = off_start.(nk) in
+  let pairs_in = Array.make total 0 and pairs_out = Array.make total 0 in
+  sweep ~fill:true pairs_in pairs_out;
+  if not sorted then
+    (* A site contributes at most one pair per offset, so its input index
+       alone orders a segment. *)
+    for o = 0 to nk - 1 do
+      let s = off_start.(o) in
+      let seg =
+        Array.init (off_start.(o + 1) - s) (fun q ->
+            (perm.(pairs_in.(s + q)) * n) + perm.(pairs_out.(s + q)))
+      in
+      Array.sort (fun a b -> Int.compare b a) seg;
+      Array.iteri
+        (fun q v ->
+          pairs_in.(s + q) <- v / n;
+          pairs_out.(s + q) <- v mod n)
+        seg
+    done;
+  (* out_w = w, so the encoded output coordinates are the inputs. *)
+  { out_coords = coords; out_h = h; out_w = w; off_start; pairs_in; pairs_out }
+
+(* Stride > 1: output sites are the distinct halved coordinates in
+   first-occurrence order, numbered through an int-keyed table.  The probe
+   key width is [out_w + half + 1], not [out_w]: a window cell just right of
+   the grid can legitimately halve onto an existing output column, and a
+   plain [out_w] encoding would alias such probes onto the next row.  Only
+   window offsets on the stride lattice ([row - dy] and [col - dx] multiples
+   of [stride]) are enumerated, stepping the output coordinate down by one
+   per lattice step: one division per coordinate per site, none per probe.  The count pass logs each lattice
+   probe's result, so the fill pass re-walks the lattice without probing. *)
+let strided_map ~ksize ~stride (coords : int array) ~h ~w =
   let half = ksize / 2 in
   let nk = ksize * ksize in
   let n = Array.length coords in
   let out_h = (h + stride - 1) / stride and out_w = (w + stride - 1) / stride in
   let tw = out_w + half + 1 in
   let tbl = Int_tbl.create (2 * n) in
-  (* Output site set, in first-occurrence order (stride > 1) or input order
-     (stride 1, where output indices equal input indices). *)
-  let out_coords =
-    if stride = 1 then begin
-      for idx = 0 to n - 1 do
-        let k = coords.(idx) in
-        Int_tbl.set tbl (((k / w) * tw) + (k mod w)) idx
-      done;
-      (* out_w = w, so the encoded output coordinates are the inputs. *)
-      coords
+  let out = Array.make n 0 in
+  let count = ref 0 in
+  for idx = 0 to n - 1 do
+    let k = coords.(idx) in
+    let r = k / w in
+    let orow = r / stride and ocol = (k - (r * w)) / stride in
+    if Int_tbl.find_or_add tbl ((orow * tw) + ocol) !count = !count then begin
+      out.(!count) <- (orow * out_w) + ocol;
+      incr count
     end
-    else begin
-      let out = Array.make n 0 in
-      let count = ref 0 in
-      for idx = 0 to n - 1 do
-        let k = coords.(idx) in
-        let orow = k / w / stride and ocol = k mod w / stride in
-        let key = (orow * tw) + ocol in
-        if not (Int_tbl.mem tbl key) then begin
-          Int_tbl.set tbl key !count;
-          out.(!count) <- (orow * out_w) + ocol;
-          incr count
-        end
-      done;
-      Array.sub out 0 !count
-    end
-  in
-  (* Pass 1: probe every window candidate once, remembering the matched
-     output index per (site, offset) so pass 2 is a pure array walk with no
-     re-probing; count pairs per kernel offset as we go. *)
+  done;
+  let out_coords = Array.sub out 0 !count in
+  (* [hits]: per site, the output index (or -1) of each lattice probe in
+     enumeration order — at most [lat] lattice rows times [lat] columns. *)
+  let lat = (ksize + stride - 1) / stride in
+  let hits = Array.make (n * lat * lat) (-1) in
   let counts = Array.make nk 0 in
-  let hits = Array.make (n * nk) (-1) in
-  for i = 0 to n - 1 do
-    let k = coords.(i) in
-    let r = k / w and c = k mod w in
-    let hbase = i * nk in
-    for dy = -half to half do
-      for dx = -half to half do
-        let tr = r - dy and tc = c - dx in
-        if tr >= 0 && tc >= 0 && tr mod stride = 0 && tc mod stride = 0 then begin
-          let key = ((tr / stride) * tw) + (tc / stride) in
-          let out_idx = Int_tbl.find tbl key ~default:(-1) in
+  let probe ~fill pairs_in pairs_out =
+    for i = 0 to n - 1 do
+      let k = coords.(i) in
+      let r = k / w in
+      let c = k - (r * w) in
+      let slot = ref (i * lat * lat) in
+      (* The largest lattice row <= r + half is the window's first:
+         dy0 = r - stride * orow0. *)
+      let orow0 = (r + half) / stride and ocol0 = (c + half) / stride in
+      let dy = ref (r - (stride * orow0)) and orow = ref orow0 in
+      while !dy <= half && !orow >= 0 do
+        let dx = ref (c - (stride * ocol0)) and ocol = ref ocol0 in
+        while !dx <= half && !ocol >= 0 do
+          let out_idx =
+            if fill then hits.(!slot)
+            else begin
+              let o = Int_tbl.find tbl ((!orow * tw) + !ocol) ~default:(-1) in
+              hits.(!slot) <- o;
+              o
+            end
+          in
           if out_idx >= 0 then begin
-            let off = ((dy + half) * ksize) + dx + half in
-            hits.(hbase + off) <- out_idx;
-            counts.(off) <- counts.(off) + 1
-          end
-        end
+            let off = ((!dy + half) * ksize) + !dx + half in
+            if fill then begin
+              let pos = counts.(off) - 1 in
+              counts.(off) <- pos;
+              pairs_in.(pos) <- i;
+              pairs_out.(pos) <- out_idx
+            end
+            else counts.(off) <- counts.(off) + 1
+          end;
+          incr slot;
+          dx := !dx + stride;
+          decr ocol
+        done;
+        dy := !dy + stride;
+        decr orow
       done
     done
-  done;
-  let off_start = Array.make (nk + 1) 0 in
-  for o = 0 to nk - 1 do
-    off_start.(o + 1) <- off_start.(o) + counts.(o)
-  done;
+  in
+  probe ~fill:false [||] [||];
+  let off_start = segments counts in
   let total = off_start.(nk) in
   let pairs_in = Array.make total 0 and pairs_out = Array.make total 0 in
-  (* Pass 2: fill each segment back to front while walking input sites in
-     ascending order, reproducing the old list-consing order (descending
-     input index) exactly.  [counts] is reused as the per-offset cursor. *)
-  Array.blit off_start 1 counts 0 nk;
-  for i = 0 to n - 1 do
-    let hbase = i * nk in
-    for off = 0 to nk - 1 do
-      let out_idx = hits.(hbase + off) in
-      if out_idx >= 0 then begin
-        let pos = counts.(off) - 1 in
-        counts.(off) <- pos;
-        pairs_in.(pos) <- i;
-        pairs_out.(pos) <- out_idx
-      end
-    done
-  done;
+  probe ~fill:true pairs_in pairs_out;
   { out_coords; out_h; out_w; off_start; pairs_in; pairs_out }
+
+let build_map ~ksize ~stride coords ~h ~w =
+  if stride = 1 then sweep_map ~ksize coords ~h ~w
+  else strided_map ~ksize ~stride coords ~h ~w
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 

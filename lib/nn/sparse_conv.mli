@@ -55,7 +55,9 @@ val replicate : t -> t
 
 val build_map : ksize:int -> stride:int -> int array -> h:int -> w:int -> kernel_map
 (** Kernel maps depend only on coordinates (flat-encoded, {!Smap.encode});
-    build once per pattern and reuse across epochs (see {!Pyramid}). *)
+    build once per pattern and reuse across epochs (see {!Pyramid}).
+    Stride 1 is a sorted sweep, fastest on row-major-sorted coordinates (the
+    COO order); strided maps probe only the stride lattice (DESIGN.md §9). *)
 
 val forward_with_map : t -> kernel_map -> Smap.t -> Smap.t
 (** Forward over a prebuilt kernel map (the cached-pyramid fast path).  The

@@ -61,9 +61,10 @@ dune build @lint || status=1
 dune build @faults || status=1
 
 # The @perf alias runs the perf-refactor safety net: flat kernel-map parity
-# against the reference builder, scratch-buffer gradchecks, the per-call
-# allocation budget on the conv hot path, and the golden-artifact
-# byte-identity check.
+# against the reference builder (single maps, and the whole coordinate
+# pyramid of every conv extractor), scratch-buffer gradchecks, the per-call
+# allocation budgets on the conv hot path and the stride-1 map build, and
+# the golden-artifact byte-identity check.
 dune build @perf || status=1
 
 # The @vm alias runs the inference-VM suite: compiled-plan/eager bitwise

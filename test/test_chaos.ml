@@ -272,13 +272,26 @@ let test_kill_under_load () =
       Alcotest.(check bool) "write-through snapshot exists" true
         (Sys.file_exists cache_file);
       for i = 1 to kill_iterations do
-        (* The pid on file is the worker that just answered (the
-           supervisor writes it before the worker starts serving). *)
-        let pid =
+        (* The pid on file names the worker that just answered — once the
+           supervisor has written it.  It writes the file just after the
+           fork, so under load the new worker can answer while the file
+           still names its reaped predecessor; wait (bounded) until the
+           pid on file is alive. *)
+        let alive pid =
+          match Unix.kill pid 0 with
+          | () -> true
+          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+        in
+        let rec live_pid tries =
           match read_pid () with
-          | Some pid -> pid
+          | Some pid when alive pid -> pid
+          | _ when tries > 0 ->
+              Unix.sleepf 0.01;
+              live_pid (tries - 1)
+          | Some _ -> Alcotest.failf "iteration %d: pid on file stays dead" i
           | None -> Alcotest.failf "iteration %d: no worker pid on file" i
         in
+        let pid = live_pid 500 in
         (* Fire a request and kill the worker while it is in flight.  The
            client must resolve either way — an answer if the response beat
            the kill, or a bounded connection drop — never a hang. *)

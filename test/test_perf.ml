@@ -18,17 +18,14 @@ let encode_pairs ~out_w pairs =
   Array.map (fun (r, c) -> (r * out_w) + c) pairs
 
 (* Flatten a reference map into the CSR shape and compare field by field. *)
-let check_map_parity ~what ~ksize ~stride (pairs : (int * int) array) ~h ~w =
-  let coords = Array.map (fun (r, c) -> Nn.Smap.encode ~w r c) pairs in
-  let flat = Nn.Sparse_conv.build_map ~ksize ~stride coords ~h ~w in
-  let refm = Nn.Sparse_conv_ref.build_map ~ksize ~stride pairs ~h ~w in
+let check_same_map ~what ~nk (flat : Nn.Sparse_conv.kernel_map)
+    (refm : Nn.Sparse_conv_ref.kernel_map) =
   Alcotest.(check int) (what ^ ": out_h") refm.Nn.Sparse_conv_ref.out_h flat.Nn.Sparse_conv.out_h;
   Alcotest.(check int) (what ^ ": out_w") refm.Nn.Sparse_conv_ref.out_w flat.Nn.Sparse_conv.out_w;
   Alcotest.(check (array int))
     (what ^ ": out_coords (incl. order)")
     (encode_pairs ~out_w:refm.Nn.Sparse_conv_ref.out_w refm.Nn.Sparse_conv_ref.out_coords)
     flat.Nn.Sparse_conv.out_coords;
-  let nk = ksize * ksize in
   Alcotest.(check int)
     (what ^ ": total pairs")
     (Array.fold_left (fun a b -> a + Array.length b) 0 refm.Nn.Sparse_conv_ref.pairs)
@@ -53,6 +50,12 @@ let check_map_parity ~what ~ksize ~stride (pairs : (int * int) array) ~h ~w =
     done
   done
 
+let check_map_parity ~what ~ksize ~stride (pairs : (int * int) array) ~h ~w =
+  let coords = Array.map (fun (r, c) -> Nn.Smap.encode ~w r c) pairs in
+  check_same_map ~what ~nk:(ksize * ksize)
+    (Nn.Sparse_conv.build_map ~ksize ~stride coords ~h ~w)
+    (Nn.Sparse_conv_ref.build_map ~ksize ~stride pairs ~h ~w)
+
 let random_pattern r ~h ~w ~n =
   (* Distinct random coordinates, insertion order preserved (the builder is
      order-sensitive, so parity must hold for arbitrary site orderings). *)
@@ -75,12 +78,19 @@ let test_map_parity_random () =
   List.iter
     (fun (h, w, n) ->
       let pairs = random_pattern r ~h ~w ~n in
+      (* Each pattern twice: in insertion order (the stride-1 sweep's
+         unsorted fallback) and row-major (the COO order, its main path). *)
+      let sorted = Array.copy pairs in
+      Array.sort compare sorted;
       List.iter
-        (fun (ksize, stride) ->
-          check_map_parity
-            ~what:(Printf.sprintf "%dx%d n=%d k=%d s=%d" h w n ksize stride)
-            ~ksize ~stride pairs ~h ~w)
-        [ (3, 1); (3, 2); (5, 1); (5, 2) ])
+        (fun (order, pairs) ->
+          List.iter
+            (fun (ksize, stride) ->
+              check_map_parity
+                ~what:(Printf.sprintf "%dx%d n=%d %s k=%d s=%d" h w n order ksize stride)
+                ~ksize ~stride pairs ~h ~w)
+            [ (3, 1); (3, 2); (5, 1); (5, 2) ])
+        [ ("random", pairs); ("row-major", sorted) ])
     [ (16, 16, 40); (64, 64, 300); (37, 53, 200); (128, 8, 150) ]
 
 let test_map_parity_edges () =
@@ -97,7 +107,66 @@ let test_map_parity_edges () =
     (Array.init 5 (fun c -> (5, c))) ~h:6 ~w:5;
   check_map_parity ~what:"single site" ~ksize:3 ~stride:2 [| (4, 4) |] ~h:5 ~w:5;
   check_map_parity ~what:"1x1 grid" ~ksize:3 ~stride:1 [| (0, 0) |] ~h:1 ~w:1;
-  check_map_parity ~what:"empty" ~ksize:3 ~stride:2 [||] ~h:8 ~w:8
+  check_map_parity ~what:"empty" ~ksize:3 ~stride:2 [||] ~h:8 ~w:8;
+  check_map_parity ~what:"empty s1" ~ksize:5 ~stride:1 [||] ~h:8 ~w:8;
+  (* Duplicate coordinates: the newest (highest) input index is the output
+     site every window resolves to, in sorted and in unsorted inputs. *)
+  let dups = [| (1, 1); (2, 2); (1, 1); (3, 3); (1, 1); (2, 2) |] in
+  let sorted_dups = Array.copy dups in
+  Array.stable_sort compare sorted_dups;
+  List.iter
+    (fun (ksize, stride) ->
+      check_map_parity
+        ~what:(Printf.sprintf "duplicates k%d s%d" ksize stride)
+        ~ksize ~stride dups ~h:5 ~w:5;
+      check_map_parity
+        ~what:(Printf.sprintf "sorted duplicates k%d s%d" ksize stride)
+        ~ksize ~stride sorted_dups ~h:5 ~w:5)
+    [ (3, 1); (5, 1); (3, 2) ];
+  (* Row wrap under k5 s1: columns 0-1 of row r sit within two keys of
+     columns w-2..w-1 of row r-1 when the key width is [w]; the sweep's
+     padded width must keep them apart. *)
+  let w = 9 in
+  let wrap r = [| (r - 1, w - 2); (r - 1, w - 1); (r, 0); (r, 1) |] in
+  check_map_parity ~what:"row wrap k5 s1" ~ksize:5 ~stride:1 (wrap 3) ~h:6 ~w;
+  check_map_parity ~what:"row wrap k5 s1, rows 0-1" ~ksize:5 ~stride:1 (wrap 1)
+    ~h:2 ~w;
+  check_map_parity ~what:"row wrap k3 s1" ~ksize:3 ~stride:1 (wrap 3) ~h:6 ~w
+
+(* The whole coordinate pyramid of every conv extractor, on one matrix of
+   each generator family at tuning size, against the reference builder
+   chained layer by layer. *)
+let test_pyramid_parity () =
+  let r = rng () in
+  Array.iter
+    (fun family ->
+      let rows = Rng.int_in r 256 511 in
+      let m = Gen.generate r family ~nrows:rows ~ncols:rows ~nnz:(rows * 8) in
+      let input = Waco.Extractor.input_of_coo ~id:"p" m in
+      List.iter
+        (fun kind ->
+          let base =
+            if kind = Waco.Extractor.Dense_conv then Lazy.force input.Waco.Extractor.down
+            else input.Waco.Extractor.smap
+          in
+          let layers = Waco.Extractor.conv_layers kind in
+          let pyr = Nn.Pyramid.build base ~layers in
+          let coords = ref (Nn.Smap.coords_pairs base) in
+          let h = ref base.Nn.Smap.h and w = ref base.Nn.Smap.w in
+          List.iteri
+            (fun i (ksize, stride) ->
+              let refm = Nn.Sparse_conv_ref.build_map ~ksize ~stride !coords ~h:!h ~w:!w in
+              check_same_map
+                ~what:
+                  (Printf.sprintf "%s %s layer %d" (Gen.family_name family)
+                     (Waco.Extractor.kind_name kind) i)
+                ~nk:(ksize * ksize) pyr.Nn.Pyramid.maps.(i) refm;
+              coords := refm.Nn.Sparse_conv_ref.out_coords;
+              h := refm.Nn.Sparse_conv_ref.out_h;
+              w := refm.Nn.Sparse_conv_ref.out_w)
+            layers)
+        Waco.Extractor.[ Waconet; Minkowski; Dense_conv ])
+    Gen.all_families
 
 (* --- forward/backward parity: scratch implementation vs reference --- *)
 
@@ -290,6 +359,35 @@ let test_conv_forward_alloc_budget () =
     Alcotest.failf "conv forward allocates %.0f B/call (budget %.0f)" per_iter
       alloc_budget_bytes
 
+(* A stride-1 kernel map costs its outputs plus O(n) words of scratch (the
+   sweep's padded keys): no per-(site, offset) array, no hash table.  The
+   slack allowed here is 2 words per site plus 256 for the per-offset
+   counts and array headers; a table-and-hits builder needs over 30 words
+   per site. *)
+let test_map_build_alloc_budget () =
+  let r = rng () in
+  let m = Gen.uniform r ~nrows:512 ~ncols:512 ~nnz:4096 in
+  let smap = Nn.Smap.of_coo m in
+  let n = Nn.Smap.nsites smap in
+  let build () =
+    Nn.Sparse_conv.build_map ~ksize:5 ~stride:1 smap.Nn.Smap.coords ~h:512 ~w:512
+  in
+  let map = build () in
+  let words a = float_of_int (Array.length a + 1) in
+  let out_words =
+    words map.Nn.Sparse_conv.off_start
+    +. words map.Nn.Sparse_conv.pairs_in
+    +. words map.Nn.Sparse_conv.pairs_out
+    +. 7.0
+  in
+  let budget = float_of_int (Sys.word_size / 8) *. (out_words +. (2.0 *. float_of_int n) +. 256.0) in
+  let a0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (build ()));
+  let bytes = Gc.allocated_bytes () -. a0 in
+  if bytes > budget then
+    Alcotest.failf "k5 s1 build_map over %d sites allocates %.0f B (budget %.0f)" n
+      bytes budget
+
 let test_conv_backward_alloc_budget () =
   let r = rng () in
   let h = 64 and w = 64 in
@@ -345,6 +443,7 @@ let () =
           Alcotest.test_case "random patterns" `Quick test_map_parity_random;
           Alcotest.test_case "edge cases" `Quick test_map_parity_edges;
           Alcotest.test_case "conv numeric parity" `Quick test_conv_numeric_parity;
+          Alcotest.test_case "full pyramids" `Quick test_pyramid_parity;
         ] );
       ( "scratch buffers",
         [
@@ -360,6 +459,7 @@ let () =
           Alcotest.test_case "conv forward" `Quick test_conv_forward_alloc_budget;
           Alcotest.test_case "conv forward+backward" `Quick
             test_conv_backward_alloc_budget;
+          Alcotest.test_case "stride-1 map build" `Quick test_map_build_alloc_budget;
         ] );
       ( "byte identity",
         [ Alcotest.test_case "golden artifact" `Slow test_golden_artifact_digest ] );
