@@ -476,9 +476,10 @@ let serve_cmd =
   in
   let cache_file =
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE"
-           ~doc:"Persist the schedule cache to $(docv) (write-through) and \
-                 reload it on restart when its model/index/machine stamp \
-                 still matches")
+           ~doc:"Persist the schedule cache to $(docv) (write-through: a \
+                 snapshot in $(docv), one fsynced append per batch to \
+                 $(docv).journal) and reload it on restart when its \
+                 model/index/machine stamp still matches")
   in
   let cache_capacity =
     Arg.(value & opt int 512 & info [ "cache-capacity" ] ~docv:"N"

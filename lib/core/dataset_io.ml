@@ -78,22 +78,14 @@ let save (data : Dataset.t) ~dir =
   Robust.write_atomic_string (Filename.concat dir "tuples.txt") (Buffer.contents buf)
 
 (* Append-only journaling for incremental collection (`waco collect
-   --append`): each record is flushed as a whole line, so a crash leaves at
-   worst one truncated final line, which [load] recovers. *)
+   --append`): each record is flushed as a whole line through
+   [Robust.Journal], so a crash leaves at worst one truncated final line,
+   which [load] recovers. *)
 let append (data : Dataset.t) ~dir =
   Robust.mkdir_p dir;
-  let path = Filename.concat dir "tuples.txt" in
-  let fresh = not (Sys.file_exists path) in
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      if fresh then output_string oc (header_line data);
-      let emit line =
-        Robust.Faults.guard_write (path ^ ":append");
-        output_string oc (Robust.Faults.mangle line);
-        flush oc
-      in
+  Robust.Journal.append ~header:(header_line data)
+    (Filename.concat dir "tuples.txt")
+    (fun emit ->
       Array.iter
         (write_sample ~dir ~emit)
         (Array.append data.Dataset.train data.Dataset.valid))
@@ -112,18 +104,16 @@ let load ~dir ~algo ~machine ~valid_fraction ?(report = fun _ -> ()) rng =
     | Ok c -> c
     | Error e -> raise (Robust.Load_error e)
   in
-  let all_lines = Array.of_list (String.split_on_char '\n' contents) in
-  let n_all = Array.length all_lines in
-  (* A well-formed journal ends with '\n', leaving one empty trailing
-     fragment; without it, the final line is a truncation suspect. *)
-  let complete_tail = n_all > 0 && all_lines.(n_all - 1) = "" in
-  let n_records = if complete_tail then n_all - 1 else n_all in
+  (* A well-formed journal ends with '\n'; without it, the final line is a
+     truncation suspect. *)
+  let all_lines, torn = Robust.Journal.split contents in
+  let n_records = Array.length all_lines in
   let matrices : (string, Coo.t) Hashtbl.t = Hashtbl.create 64 in
   let tuples : (string, (Superschedule.t * float) list ref) Hashtbl.t =
     Hashtbl.create 64
   in
   let corrupt ~idx line reason =
-    if (not complete_tail) && idx = n_records - 1 then
+    if torn && idx = n_records - 1 then
       report
         (Printf.sprintf "%s:%d: dropped truncated final record (%s): %S" path
            (idx + 1) reason line)

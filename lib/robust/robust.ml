@@ -286,6 +286,38 @@ let lines payload =
       let n = Array.length arr in
       if n > 0 && arr.(n - 1) = "" then Array.sub arr 0 (n - 1) else arr
 
+(* --- append-only journals --- *)
+
+(* Each record goes through one write point and is flushed on its own, so
+   a crash costs at most the record being written; the reader tells such a
+   torn tail (no final newline) apart from damage in place. *)
+module Journal = struct
+  let append ?header ?(truncate = false) path fill =
+    let fresh = truncate || not (Sys.file_exists path) in
+    let flags =
+      [ Open_wronly; Open_append; Open_creat ]
+      @ if truncate then [ Open_trunc ] else []
+    in
+    let oc = open_out_gen flags 0o644 path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        (match header with
+        | Some h when fresh -> output_string oc h
+        | _ -> ());
+        fill (fun record ->
+            Faults.guard_write (path ^ ":append");
+            output_string oc (Faults.mangle record);
+            flush oc);
+        flush oc;
+        try Unix.fsync (Unix.descr_of_out_channel oc)
+        with Unix.Unix_error _ -> ())
+
+  let split contents =
+    let n = String.length contents in
+    (lines contents, n > 0 && contents.[n - 1] <> '\n')
+end
+
 (* --- bounded retry with capped exponential backoff and jitter --- *)
 
 (* Deterministic jitter: a seed+attempt hash mapped to [0, 1).  Seedable and

@@ -106,6 +106,30 @@ val lines : string -> string array
 (** Payload split on newlines, without the empty fragment a trailing newline
     produces. *)
 
+(** {2 Append-only journals} *)
+
+(** A file of newline-terminated records that is only ever appended to —
+    the dataset's [tuples.txt] under [collect --append] and the serving
+    cache's [<file>.journal].  A crash costs at most the record being
+    written, and the reader sees it as a torn tail. *)
+module Journal : sig
+  val append :
+    ?header:string -> ?truncate:bool -> string ->
+    ((string -> unit) -> unit) -> unit
+  (** [append path fill] opens [path] for appending (creating it) and hands
+      [fill] an [emit] function: each [emit record] passes the {!Faults}
+      write point [path ^ ":append"], writes [record] (which must end in a
+      newline) and flushes it.  [header] is written first, unguarded, when
+      the file starts empty — created by this call, or emptied by
+      [truncate].  One fsync follows [fill]. *)
+
+  val split : string -> string array * bool
+  (** [split contents] is the journal's records, without their newlines,
+      and whether the last one is torn (the contents do not end in a
+      newline).  Only a torn last record may be dropped as a crash's
+      leftovers; damage anywhere else was done in place. *)
+end
+
 (** {2 Retry} *)
 
 val backoff_delay :

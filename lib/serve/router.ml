@@ -297,7 +297,8 @@ let compose_stats t (fan : statfan) =
   let keys =
     [
       "requests"; "answers"; "cache_hits"; "cache_misses"; "shed";
-      "degraded"; "deadline_misses"; "measured_runs";
+      "degraded"; "deadline_misses"; "measured_runs"; "cache_compactions";
+      "cache_persist_failures";
     ]
   in
   List.iteri

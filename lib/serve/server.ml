@@ -15,8 +15,8 @@
      features, then each miss's top-k measurements spread over the worker
      pool;
    - fresh non-degraded answers enter the LRU cache, which is persisted
-     write-through inside the [Robust] envelope so a restarted daemon is
-     warm.
+     write-through — one fsynced journal append per batch, beside a
+     [Robust]-enveloped snapshot — so a restarted daemon is warm.
 
    Degradation over failure, everywhere: a damaged request body answers
    [Error_msg] on its own connection; a failing measurement degrades to the
@@ -416,7 +416,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
   (if !fresh then
      match t.cache_file with
      | Some file -> (
-         try Cache.save t.cache file
+         try Cache.persist t.cache file
          with e ->
            Metrics.bump t.metrics (fun m ->
                m.cache_persist_failures <- m.cache_persist_failures + 1);
@@ -494,6 +494,8 @@ let stats_json t =
         ("cache_size", Cache.size t.cache);
         ("cache_capacity", Cache.capacity t.cache);
         ("cache_evictions", Cache.evictions t.cache);
+        ("cache_compactions", Cache.compactions t.cache);
+        ("cache_journal_bytes", Cache.journal_bytes t.cache);
         ( "index_size",
           Array.fold_left
             (fun acc s -> acc + Anns.Hnsw.size s.index.Waco.Tuner.hnsw)
@@ -620,7 +622,7 @@ let run ?(on_ready = ignore) t =
     ~on_exit:(fun () ->
       match t.cache_file with
       | Some file -> (
-          try Cache.save t.cache file
+          try Cache.compact t.cache file
           with e ->
             t.io.log
               (Printf.sprintf "cache: final persist failed: %s"

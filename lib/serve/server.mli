@@ -9,7 +9,8 @@
     misses (deduplicated by sparsity fingerprint) of each kernel take one
     batched feature extraction, their top-k measurements spread over the
     worker pool, then fresh answers enter the LRU cache and are persisted
-    write-through inside the {!Robust} envelope.  FIFO order is preserved
+    write-through: one fsynced {!Cache.persist} journal append per batch.
+    FIFO order is preserved
     per connection.
 
     The daemon degrades under overload and hostile clients instead of

@@ -435,6 +435,27 @@ let test_router_end_to_end () =
       (match counter_after j "\"totals\"" "cache_hits" with
       | Some h -> Alcotest.(check bool) "totals sum shard cache hits" true (h >= 2)
       | None -> Alcotest.fail "no totals cache_hits");
+      List.iter
+        (fun key ->
+          let shard s =
+            match
+              counter_after j
+                (Printf.sprintf "{\"name\": \"%s\"" (Serve.Metrics.json_escape s))
+                key
+            with
+            | Some n -> n
+            | None -> Alcotest.failf "shard %s reports no %s" s key
+          in
+          Alcotest.(check (option int))
+            ("totals " ^ key ^ " = sum over shards")
+            (Some (shard s0 + shard s1))
+            (counter_after j "\"totals\"" key))
+        [ "cache_hits"; "cache_compactions"; "cache_persist_failures" ];
+      (* Each shard's first persist compacts: at least one shard did. *)
+      Alcotest.(check bool) "totals count the shards' compactions" true
+        (match counter_after j "\"totals\"" "cache_compactions" with
+        | Some n -> n >= 1
+        | None -> false);
       Alcotest.(check bool) "per-shard stats carry each shard's name" true
         (json_has j s0 && json_has j s1);
       (* Router shutdown is the router's own lifecycle: the shards stay up

@@ -553,6 +553,16 @@ let test_cache_lru () =
   | Some e -> Alcotest.(check string) "replaced" "sched-9" e.Serve.Cache.schedule
   | None -> Alcotest.fail "replaced entry missing"
 
+let read_raw path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_raw path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
 let test_cache_persistence () =
   let dir = tmpdir "waco-serve-cache" in
   let path = Filename.concat dir "cache.waco" in
@@ -592,19 +602,10 @@ let test_cache_persistence () =
   | Ok { status = `Warm _; _ } -> Alcotest.fail "stale snapshot reused"
   | Error e -> Alcotest.failf "load: %s" (Robust.load_error_to_string e));
   (* Flipping a payload byte is a typed checksum error. *)
-  let raw =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let raw = read_raw path in
   let pos = String.length raw - 3 in
-  let mangled =
-    String.mapi (fun i c -> if i = pos then (if c = 'x' then 'y' else 'x') else c) raw
-  in
-  let oc = open_out_bin path in
-  output_string oc mangled;
-  close_out oc;
+  write_raw path
+    (String.mapi (fun i c -> if i = pos then (if c = 'x' then 'y' else 'x') else c) raw);
   (match
      Serve.Cache.load ~model_digest:"mdig" ~index_digest:"idig"
        ~machine:"intel-like" path
@@ -675,6 +676,210 @@ let test_cache_crash_sweep () =
   | Ok { status = `Warm 2; _ } -> ()
   | _ -> Alcotest.fail "clean save did not land");
   rm_rf dir
+
+(* --- snapshot + journal ------------------------------------------------ *)
+
+(* A cache's canonical bytes: its snapshot, written beside [path]. *)
+let canon ~path c =
+  let f = path ^ ".canon" in
+  Serve.Cache.save c f;
+  let s = read_raw f in
+  Sys.remove f;
+  s
+
+let load_canon ?(capacity = 3) path =
+  match
+    Serve.Cache.load ~capacity ~model_digest:"mdig" ~index_digest:"idig"
+      ~machine:"intel-like" path
+  with
+  | Ok { cache; status = `Warm _ } -> Ok (canon ~path cache)
+  | Ok { status = `Invalidated why; _ } -> Error ("invalidated: " ^ why)
+  | Error e -> Error (Robust.load_error_to_string e)
+
+let remove_cache_files path =
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    [ path; path ^ ".journal" ]
+
+(* Crash at every write point of [persist] — a journal append and a
+   compaction: loading must give exactly the state of the previous persist
+   or of the current one, compared through canonical snapshot bytes — never
+   a mix, never garbage.  [setup] rebuilds disk and live cache as of the
+   previous persist; [step] mutates and persists. *)
+let test_cache_journal_crash_sweep () =
+  let dir = tmpdir "waco-serve-journal" in
+  let path = Filename.concat dir "cache.waco" in
+  let sweep ~setup ~step =
+    remove_cache_files path;
+    let c = setup () in
+    let prev = canon ~path c in
+    step c;
+    let cur = canon ~path c in
+    Alcotest.(check bool) "the step changes the state" false (prev = cur);
+    let n = ref 1 and finished = ref false in
+    while not !finished do
+      remove_cache_files path;
+      let c = setup () in
+      Robust.Faults.arm_fail_nth_write !n;
+      (match step c with
+      | () -> finished := true
+      | exception Robust.Faults.Injected _ -> ());
+      Robust.Faults.reset ();
+      (match load_canon path with
+      | Ok s when s = cur -> ()
+      | Ok s when s = prev && not !finished -> ()
+      | Ok _ -> Alcotest.failf "crash %d: loaded a state that was never persisted" !n
+      | Error e -> Alcotest.failf "crash %d: %s" !n e);
+      incr n;
+      if !n > 16 then Alcotest.fail "sweep did not terminate"
+    done;
+    !n - 2
+  in
+  (* The previous persist: a compaction, then an append with a touch. *)
+  let setup () =
+    let c = mk_cache () in
+    Serve.Cache.add c "k1" (entry 1);
+    Serve.Cache.add c "k2" (entry 2);
+    Serve.Cache.persist c path;
+    ignore (Serve.Cache.find c "k1");
+    Serve.Cache.add c "k3" (entry 3);
+    Serve.Cache.persist c path;
+    c
+  in
+  (* Append: a touch and an insert that evicts, in one record. *)
+  let append_points =
+    sweep ~setup ~step:(fun c ->
+        ignore (Serve.Cache.find c "k2");
+        Serve.Cache.add c "k4" (entry 4);
+        Serve.Cache.persist c path)
+  in
+  Alcotest.(check int) "one write point per append" 1 append_points;
+  (* Compaction: a restarted daemon's first persist. *)
+  let compact_points =
+    sweep
+      ~setup:(fun () ->
+        ignore (setup ());
+        match
+          Serve.Cache.load ~capacity:3 ~model_digest:"mdig" ~index_digest:"idig"
+            ~machine:"intel-like" path
+        with
+        | Ok { cache; status = `Warm 3 } -> cache
+        | _ -> Alcotest.fail "setup did not reload warm")
+      ~step:(fun c ->
+        Serve.Cache.add c "k5" (entry 5);
+        Serve.Cache.persist c path)
+  in
+  Alcotest.(check int) "snapshot's three write points + journal reset" 4
+    compact_points;
+  rm_rf dir
+
+(* Damage to the journal: a torn final record (a crash mid-append) is
+   dropped and the load stays warm; a checksum failure anywhere else is a
+   typed error; a journal naming another snapshot is ignored. *)
+let test_cache_journal_damage () =
+  let dir = tmpdir "waco-serve-jdamage" in
+  let path = Filename.concat dir "cache.waco" in
+  let jpath = path ^ ".journal" in
+  let c = mk_cache () in
+  Serve.Cache.add c "k1" (entry 1);
+  Serve.Cache.persist c path;
+  Serve.Cache.add c "k2" (entry 2);
+  Serve.Cache.persist c path;
+  let prev = canon ~path c in
+  (* Torn tail: the next record is cut mid-write. *)
+  Serve.Cache.add c "k3" (entry 3);
+  Robust.Faults.arm_truncate_at 20;
+  Serve.Cache.persist c path;
+  Robust.Faults.reset ();
+  (match load_canon path with
+  | Ok s -> Alcotest.(check string) "torn record dropped, load warm" prev s
+  | Error e -> Alcotest.failf "torn tail: %s" e);
+  (* Interior damage: flip a byte of the first record, which has a
+     complete successor. *)
+  let raw = read_raw jpath in
+  let pos = String.index raw '\n' + 12 in
+  write_raw jpath
+    (String.mapi (fun i ch -> if i = pos then (if ch = 'x' then 'y' else 'x') else ch) raw);
+  (match
+     Serve.Cache.load ~model_digest:"mdig" ~index_digest:"idig"
+       ~machine:"intel-like" path
+   with
+  | Error (Robust.Malformed _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Robust.load_error_to_string e)
+  | Ok _ -> Alcotest.fail "interior journal damage loaded");
+  (* Stale journal: a newer snapshot beside a journal that names the old
+     one (a crash between snapshot rename and journal reset).  Replaying
+     it would add k2 back. *)
+  remove_cache_files path;
+  let c = mk_cache () in
+  Serve.Cache.add c "k1" (entry 1);
+  Serve.Cache.persist c path;
+  Serve.Cache.add c "k2" (entry 2);
+  Serve.Cache.persist c path;
+  let stale = read_raw jpath in
+  let other = mk_cache () in
+  Serve.Cache.add other "k9" (entry 9);
+  Serve.Cache.persist other path;
+  write_raw jpath stale;
+  (match load_canon path with
+  | Ok s -> Alcotest.(check string) "stale journal ignored" (canon ~path other) s
+  | Error e -> Alcotest.failf "stale journal: %s" e);
+  rm_rf dir
+
+(* The journal triggers its own compaction once it outgrows twice the
+   snapshot, and the stats see both. *)
+let test_cache_journal_compacts () =
+  let dir = tmpdir "waco-serve-jcompact" in
+  let path = Filename.concat dir "cache.waco" in
+  let c = mk_cache ~capacity:4 () in
+  Serve.Cache.add c "k0" (entry 0);
+  Serve.Cache.persist c path;
+  Alcotest.(check int) "first persist compacts" 1 (Serve.Cache.compactions c);
+  let header = Serve.Cache.journal_bytes c in
+  Serve.Cache.add c "k1" (entry 1);
+  Serve.Cache.persist c path;
+  Alcotest.(check bool) "then appends" true
+    (Serve.Cache.compactions c = 1 && Serve.Cache.journal_bytes c > header);
+  let i = ref 2 in
+  while Serve.Cache.compactions c = 1 && !i < 100 do
+    Serve.Cache.add c (Printf.sprintf "k%d" !i) (entry !i);
+    Serve.Cache.persist c path;
+    incr i
+  done;
+  Alcotest.(check int) "journal growth compacts" 2 (Serve.Cache.compactions c);
+  Alcotest.(check int) "fresh journal holds only its header" header
+    (Serve.Cache.journal_bytes c);
+  (match load_canon ~capacity:4 path with
+  | Ok s -> Alcotest.(check string) "compacted state loads" (canon ~path c) s
+  | Error e -> Alcotest.failf "load: %s" e);
+  rm_rf dir
+
+(* Replay equivalence: after every [persist] of a random find/add/persist
+   sequence, snapshot + journal reload to the live cache's exact bytes —
+   entries and recency ticks, through evictions that follow touches and
+   compactions alike. *)
+let qcheck_journal_replay =
+  QCheck.Test.make ~name:"journal replay = live cache (prop)" ~count:12
+    QCheck.(
+      pair (int_range 3 8)
+        (list_of_size Gen.(int_range 1 30) (pair (int_range 0 3) (int_range 0 11))))
+    (fun (capacity, ops) ->
+      let dir = tmpdir "waco-serve-jprop" in
+      let path = Filename.concat dir "cache.waco" in
+      let c = mk_cache ~capacity () in
+      let ok = ref true in
+      List.iteri
+        (fun i (op, k) ->
+          let key = Printf.sprintf "k%d" k in
+          match op with
+          | 0 | 1 -> ignore (Serve.Cache.find c key)
+          | 2 -> Serve.Cache.add c key (entry i)
+          | _ ->
+              Serve.Cache.persist c path;
+              if load_canon ~capacity path <> Ok (canon ~path c) then ok := false)
+        ops;
+      rm_rf dir;
+      !ok)
 
 (* Kernel namespaces: a namespaced load accepts only keys under the served
    kernels' prefixes; a persisted entry with no namespace (a pre-kernel
@@ -1544,6 +1749,12 @@ let () =
           Alcotest.test_case "persistence + invalidation" `Quick
             test_cache_persistence;
           Alcotest.test_case "crash sweep" `Slow test_cache_crash_sweep;
+          Alcotest.test_case "journal crash sweep" `Slow
+            test_cache_journal_crash_sweep;
+          Alcotest.test_case "journal damage" `Quick test_cache_journal_damage;
+          Alcotest.test_case "journal compaction" `Quick
+            test_cache_journal_compacts;
+          QCheck_alcotest.to_alcotest qcheck_journal_replay;
           Alcotest.test_case "kernel namespaces" `Quick test_cache_namespaces;
         ] );
       ( "scheduler",
