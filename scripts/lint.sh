@@ -27,8 +27,9 @@ fi
 # includes the shared IO loop (lib/serve/loop.ml), whose reaper, partial-frame
 # and bounded-write clocks time out clients, and the scale-out router
 # (lib/serve/router.ml), whose redial backoff is a deadline path like any
-# other.
-if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml 2>/dev/null; then
+# other.  bench/ is covered too: every recorded bench number is an elapsed
+# time on the monotonic clock.
+if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml bench 2>/dev/null; then
   echo "lint.sh: Unix.gettimeofday on a deadline/elapsed path (use Robust.mono_now)" >&2
   status=1
 fi
@@ -49,6 +50,15 @@ fi
 # to test.  The pool's place is Tuner.tune's measurement fan-out.
 if grep -rnE 'Tuner\.query([^_]|$)|map_workers|Costmodel\.replicate' lib/serve 2>/dev/null; then
   echo "lint.sh: unbatched query or per-domain replicas in lib/serve (use Tuner.query_batch ?pool)" >&2
+  status=1
+fi
+
+# The bench harness refuses an unknown target with exit 2 before running
+# anything, so a typo in a target name cannot pass as a green run.
+rc=0
+dune exec bench/main.exe -- nosuch-target >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "lint.sh: bench/main.exe exited $rc on an unknown target (want 2)" >&2
   status=1
 fi
 
