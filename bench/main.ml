@@ -30,31 +30,6 @@ let timed f =
 
 type direction = Higher | Lower
 
-(* Minimal extraction from our own hand-rolled JSON: find ["key": <float>].
-   Good enough because we only ever read files this bench wrote. *)
-let json_float_field text key =
-  let needle = "\"" ^ key ^ "\":" in
-  let tlen = String.length text and nlen = String.length needle in
-  let rec find i =
-    if i + nlen > tlen then None
-    else if String.sub text i nlen = needle then begin
-      let j = ref (i + nlen) in
-      while !j < tlen && text.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      while
-        !k < tlen
-        && (match text.[!k] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr k
-      done;
-      float_of_string_opt (String.sub text !j (!k - !j))
-    end
-    else find (i + 1)
-  in
-  find 0
-
 let host_json () =
   Printf.sprintf "{\"nproc\": %d, \"ocaml\": %S, \"waco_domains\": %S}"
     (Domain.recommended_domain_count ())
@@ -74,7 +49,8 @@ let record file ~force rows gated =
       List.filter_map
         (fun (key, dir) ->
           let now = float_of_string (List.assoc key rows) in
-          match (json_float_field old key, dir) with
+          let recorded = Option.bind (Json.number_field old key) float_of_string_opt in
+          match (recorded, dir) with
           | Some o, Higher when now < 0.8 *. o -> Some (key, o, now)
           | Some o, Lower when now > 1.2 *. o -> Some (key, o, now)
           | _ -> None)
@@ -761,16 +737,18 @@ let asym_bench ~force () =
     (fun (g : Gen.named) ->
       let m = g.Gen.matrix in
       let wl = Machine_model.Workload.of_coo ~id:g.Gen.name m in
-      let input = Waco.Extractor.input_of_coo ~id:g.Gen.name m in
+      (* One input per timed run, so neither inherits the other's pyramid. *)
+      let input () = Waco.Extractor.input_of_coo ~id:g.Gen.name m in
+      let input_off = input () and input_on = input () in
       Waco.Costmodel.clear_feature_cache model;
       let off, t_off =
         timed (fun () ->
-            Waco.Tuner.tune ~k:10 ~asym:false model machine wl input index_off)
+            Waco.Tuner.tune ~k:10 ~asym:false model machine wl input_off index_off)
       in
       Waco.Costmodel.clear_feature_cache model;
       let on, t_on =
         timed (fun () ->
-            Waco.Tuner.tune ~k:10 model machine wl input index_off)
+            Waco.Tuner.tune ~k:10 model machine wl input_on index_off)
       in
       query_off := !query_off +. t_off;
       query_on := !query_on +. t_on;

@@ -97,25 +97,10 @@ let render_text ds =
 
 (* --- JSON rendering (hand-rolled; no JSON dependency in the container) --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\",\"loc\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.code) (severity_name d.severity) (json_escape d.loc)
-    (json_escape d.message)
+    (Json.escape d.code) (severity_name d.severity) (Json.escape d.loc)
+    (Json.escape d.message)
 
 let render_json ds =
   let sorted = sort ds in

@@ -155,17 +155,47 @@ let compile t =
       t.vm <- Some c;
       c
 
+(* The feature memo's constant bound: 4096 features of [Config.feature_dim]
+   floats, about 3 MB with their keys.  A working set larger than that only
+   costs recomputation. *)
+let feature_capacity = 4096
+
+(* Memoize the features of a whole group of patterns with one plan
+   execution — serve phase B's per-kernel-slot batch.  Memoized (or
+   repeated) ids are skipped; returns which members this call computed.  A
+   memo the batch could overflow is reset first, so the batch's features
+   survive until its searches read them. *)
+let feature_batch t (inputs : Extractor.input array) =
+  if Hashtbl.length t.feature_cache + Array.length inputs > feature_capacity then
+    Hashtbl.reset t.feature_cache;
+  let seen = Hashtbl.create 8 in
+  let computed =
+    Array.map
+      (fun (i : Extractor.input) ->
+        let id = i.Extractor.id in
+        let fresh = not (Hashtbl.mem t.feature_cache id || Hashtbl.mem seen id) in
+        Hashtbl.replace seen id ();
+        fresh)
+      inputs
+  in
+  let fresh = List.filteri (fun k _ -> computed.(k)) (Array.to_list inputs) in
+  if fresh <> [] then begin
+    let feats = Extractor.forward_batch (compile t).c_ext (Array.of_list fresh) in
+    let fd = Config.feature_dim in
+    (* Fresh exact-size copies off the plan's borrowed rows: safe to retain. *)
+    List.iteri
+      (fun k (i : Extractor.input) ->
+        Hashtbl.add t.feature_cache i.Extractor.id (Array.sub feats (k * fd) fd))
+      fresh
+  end;
+  computed
+
 let feature t (input : Extractor.input) =
   match Hashtbl.find_opt t.feature_cache input.Extractor.id with
   | Some f -> f
   | None ->
-      let c = compile t in
-      (* Fresh exact-size copy off the plan's borrowed row; safe to retain. *)
-      let f =
-        Array.sub (Extractor.forward_batch c.c_ext [| input |]) 0 Config.feature_dim
-      in
-      Hashtbl.add t.feature_cache input.Extractor.id f;
-      f
+      ignore (feature_batch t [| input |] : bool array);
+      Hashtbl.find t.feature_cache input.Extractor.id
 
 (* Uncached single-pattern feature for callers evaluating a model whose
    weights are still moving (the trainer's eval loop). *)
@@ -173,37 +203,7 @@ let feature_nocache t (input : Extractor.input) =
   let c = compile t in
   Array.sub (Extractor.forward_batch c.c_ext [| input |]) 0 Config.feature_dim
 
-(* Warm the feature cache for a whole group of patterns with one plan
-   execution — serve phase B's per-kernel-slot batch.  Cached (or repeated)
-   ids are skipped; returns how many features were actually computed. *)
-let feature_batch t (inputs : Extractor.input array) =
-  let seen = Hashtbl.create (max 4 (Array.length inputs)) in
-  let fresh =
-    Array.to_list inputs
-    |> List.filter (fun (i : Extractor.input) ->
-           let id = i.Extractor.id in
-           if Hashtbl.mem t.feature_cache id || Hashtbl.mem seen id then false
-           else begin
-             Hashtbl.add seen id ();
-             true
-           end)
-    |> Array.of_list
-  in
-  let n = Array.length fresh in
-  if n > 0 then begin
-    let c = compile t in
-    let feats = Extractor.forward_batch c.c_ext fresh in
-    let fd = Config.feature_dim in
-    Array.iteri
-      (fun k (i : Extractor.input) ->
-        Hashtbl.add t.feature_cache i.Extractor.id (Array.sub feats (k * fd) fd))
-      fresh
-  end;
-  n
-
-let clear_feature_cache t =
-  Hashtbl.reset t.feature_cache;
-  Extractor.clear_cache t.extractor
+let clear_feature_cache t = Hashtbl.reset t.feature_cache
 
 (* Program embeddings for a batch of schedules (the vectors the KNN graph is
    built on). *)

@@ -63,21 +63,25 @@ val compile : t -> compiled
     bitwise-equal to the eager layers (test/test_vm.ml), so artifacts,
     cache keys and index builds are unchanged. *)
 
+val feature_capacity : int
+(** The feature memo's bound: a memo that would pass it is reset first. *)
+
 val feature : t -> Extractor.input -> float array
-(** Cached per [input.id]; see {!clear_feature_cache}. *)
+(** Memoized per [input.id]; see {!clear_feature_cache}. *)
 
 val feature_nocache : t -> Extractor.input -> float array
-(** Uncached single-pattern feature — for evaluating a model whose weights
-    are still moving (the trainer's eval loop). *)
+(** Unmemoized single-pattern feature — for evaluating a model whose
+    weights are still moving (the trainer's eval loop). *)
 
-val feature_batch : t -> Extractor.input array -> int
-(** Warm the feature cache for a whole group of patterns with one batched
-    plan execution (serve phase B's per-kernel-slot batch).  Cached or
-    repeated ids are skipped; returns how many features were computed. *)
+val feature_batch : t -> Extractor.input array -> bool array
+(** Memoize the features of a whole group of patterns with one batched
+    plan execution (serve phase B's per-kernel-slot batch).  Memoized or
+    repeated ids are skipped; element [i] of the result tells whether this
+    call computed member [i]'s feature. *)
 
 val clear_feature_cache : t -> unit
-(** Required whenever extractor weights change (after training) or when the
-    same model tunes against a different machine. *)
+(** Empties the feature memo.  Required whenever extractor weights change
+    (after training or a {!load}); features do not depend on the machine. *)
 
 val embed : t -> Superschedule.t array -> float array
 (** Program embeddings — the vectors the KNN graph is built on. *)

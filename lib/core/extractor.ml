@@ -26,13 +26,17 @@ let kind_name = function
 
 (* Pattern input: raw sparse map, plus the lazily built downsampled map and
    hand statistics (log-scaled) that only [Dense_conv] and [Human] read.
-   Built once per matrix. *)
+   Built once per matrix.  [pyramids] memoizes each conv stack's coordinate
+   pyramid keyed by [(arch, use_down)]: it lives as long as its pattern. *)
 type input = {
   id : string;
   smap : Nn.Smap.t;
   down : Nn.Smap.t Lazy.t;
   human : float array Lazy.t;
+  mutable pyramids : pyramids;
 }
+
+and pyramids = ((int * int) list * bool * Nn.Pyramid.t) list
 
 let input_of_coo ~id (m : Coo.t) =
   {
@@ -44,6 +48,7 @@ let input_of_coo ~id (m : Coo.t) =
         (Array.map
            (fun x -> log (1.0 +. x))
            (Stats.human_features ~rich:false (Stats.compute m)));
+    pyramids = [];
   }
 
 let input_of_tensor3 ~id (t : Tensor3.t) = input_of_coo ~id (Tensor3.flatten t)
@@ -56,7 +61,6 @@ type conv_stack = {
   head : Nn.Linear.t; (* pooled concat -> feature *)
   arch : (int * int) list; (* (ksize, stride) per conv *)
   use_down : bool;
-  pyramids : (string, Nn.Pyramid.t) Hashtbl.t;
 }
 
 type body = Conv of conv_stack | Mlp of Nn.Mlp.t
@@ -114,7 +118,6 @@ let create rng kind =
               head;
               arch;
               use_down;
-              pyramids = Hashtbl.create 64;
             };
         out_dim;
       }
@@ -127,8 +130,7 @@ let params t =
       @ Nn.Linear.params c.head
 
 (* Forward-only copy for another domain: parameters are shared (reads only),
-   layer caches and the pyramid cache are private.  Pyramids are coordinate-
-   only, so a replica rebuilding them changes no numerics. *)
+   layer caches are private. *)
 let replicate t =
   match t.body with
   | Mlp m -> { t with body = Mlp (Nn.Mlp.replicate m) }
@@ -143,21 +145,22 @@ let replicate t =
               relus = Array.map (fun _ -> Nn.Act.relu_create ()) c.relus;
               pools = Array.map (fun _ -> Nn.Pool.create ()) c.pools;
               head = Nn.Linear.replicate c.head;
-              pyramids = Hashtbl.create 64;
             };
       }
 
-let pyramid_of (c : conv_stack) (input : input) =
-  (* [find] not [find_opt]: the hit path is inside the VM's steady-state
-     zero-allocation budget, and a [Some] per lookup would be the only
-     allocation left in a warm batched forward. *)
-  match Hashtbl.find c.pyramids input.id with
-  | p -> p
-  | exception Not_found ->
+(* The input's pyramid for this stack, built on first use.  The hit path is
+   inside the VM's steady-state zero-allocation budget. *)
+let rec find_pyramid (c : conv_stack) (input : input) = function
+  | (arch, use_down, p) :: rest ->
+      if use_down = c.use_down && arch = c.arch then p
+      else find_pyramid c input rest
+  | [] ->
       let base = if c.use_down then Lazy.force input.down else input.smap in
       let p = Nn.Pyramid.build base ~layers:c.arch in
-      Hashtbl.add c.pyramids input.id p;
+      input.pyramids <- (c.arch, c.use_down, p) :: input.pyramids;
       p
+
+let pyramid_of c input = find_pyramid c input input.pyramids
 
 (* Forward one pattern to its feature vector.  Layer caches are retained for
    an immediately following [backward].
@@ -233,16 +236,13 @@ let backward t (dfeat : float array) =
         dnext := Nn.Sparse_conv.backward conv dpre
       done
 
-let clear_cache t =
-  match t.body with Conv c -> Hashtbl.reset c.pyramids | Mlp _ -> ()
-
 (* Compile-once/execute-many forward (DESIGN.md §14): one VM plan per
    extractor instance.  Conv kinds compile to a per-item tape — one fused
    conv+ReLU per layer plus a pool writing straight into the current item's
    row of the pooled-concat matrix — and a batched tape holding the single
    head GEMM over all rows.  The plan shares the instance's parameters and
-   pyramid cache; like eager scratch, it is single-domain (replicas compile
-   their own). *)
+   reads each input's own pyramid; like eager scratch, it is single-domain
+   (replicas compile their own). *)
 type compiled = {
   ext : t;
   plan : Vm.Plan.t;

@@ -17,13 +17,18 @@ val kind_name : kind -> string
 
 (** Pattern input: raw sparse map, plus the downsampled map and log-scaled
     hand statistics, built on first use (only [Dense_conv] and [Human] read
-    them) — built once per matrix and shared by all extractor kinds. *)
+    them) — built once per matrix and shared by all extractor kinds.  Each
+    conv stack's coordinate pyramid is memoized on the input likewise, and
+    freed with it.  Unsynchronized: one domain at a time per input. *)
 type input = {
-  id : string;  (** cache key; unique per matrix *)
+  id : string;  (** feature-memo key; unique per pattern *)
   smap : Nn.Smap.t;
   down : Nn.Smap.t Lazy.t;
   human : float array Lazy.t;
+  mutable pyramids : pyramids;
 }
+
+and pyramids
 
 val input_of_coo : id:string -> Sptensor.Coo.t -> input
 
@@ -43,13 +48,11 @@ val params : t -> Nn.Param.t list
 
 val replicate : t -> t
 (** Forward-only copy for concurrent use on another domain: shares the
-    parameters (which must not be updated meanwhile), owns fresh layer and
-    pyramid caches. *)
+    parameters (which must not be updated meanwhile), owns fresh caches. *)
 
 val forward : t -> input -> float array
 (** Feature vector of one pattern; layer caches are retained for an
-    immediately following {!backward}.  Coordinate pyramids are cached per
-    [input.id]. *)
+    immediately following {!backward}. *)
 
 val backward : t -> float array -> unit
 (** Accumulates parameter gradients from d(feature). *)
@@ -58,8 +61,8 @@ type compiled
 (** A compile-once/execute-many inference plan over this extractor's layers
     (DESIGN.md §14): fused conv+ReLU per layer, pooling straight into the
     batch concat matrix, one blocked head GEMM over all rows.  Shares the
-    instance's parameters and pyramid cache; single-domain like its eager
-    scratch — replicas must {!compile} their own. *)
+    instance's parameters; single-domain like its eager scratch — replicas
+    must {!compile} their own. *)
 
 val compile : t -> compiled
 
@@ -68,6 +71,3 @@ val forward_batch : compiled -> input array -> float array
     borrowed result is at [n * Config.feature_dim] and is bitwise-equal to
     [forward] on the same input.  Copy rows that must outlive the next
     execution; steady state allocates zero bytes (test/test_vm.ml). *)
-
-val clear_cache : t -> unit
-(** Drops cached coordinate pyramids. *)

@@ -347,7 +347,7 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
 (* The reusable "answer one matrix" entry point the serving daemon (and any
    other embedder of the tuner) calls: builds the workload and extractor
    input from a raw COO and runs the three-phase search.  [id] keys the
-   model's feature cache, so callers that identify matrices by content
+   model's feature memo, so callers that identify matrices by content
    fingerprint get cross-request feature reuse for free. *)
 let query ?pool ?k ?ef ?measure ?measure_retries ?measure_backoff_s
     ?measure_budget_s ?asym ?deadline_at model machine ~id (m : Sptensor.Coo.t)
@@ -364,26 +364,33 @@ type batch_query = {
   bq_deadline_at : float option;
 }
 
-(* Answer a group of distinct matrices against one model: every uncached
+(* Answer a group of distinct matrices against one model: every unmemoized
    pattern's feature comes from a single batched extractor-plan execution
    (DESIGN.md §14) before the per-matrix searches run — serve phase B's
-   "one run_batch per kernel slot".  Per-query deadlines are re-checked by
-   [tune] as usual; a query already expired merely wastes its share of the
-   (cheap, batched) feature work. *)
+   "one run_batch per kernel slot" — whose time is split evenly over the
+   members it computed a feature for.  Per-query deadlines are re-checked
+   by [tune]; an expired query merely wastes its share of that work. *)
 let query_batch ?pool ?k ?ef ?measure_retries ?measure_backoff_s
     ?measure_budget_s ?asym model machine (queries : batch_query array)
     (index : index) =
   let inputs =
     Array.map (fun q -> Extractor.input_of_coo ~id:q.bq_id q.bq_coo) queries
   in
-  ignore (Costmodel.feature_batch model inputs : int);
-  Array.mapi
-    (fun i q ->
-      let wl = Workload.of_coo ~id:q.bq_id q.bq_coo in
-      tune ?pool ?k ?ef ~measure:q.bq_measure ?measure_retries
-        ?measure_backoff_s ?measure_budget_s ?asym ?deadline_at:q.bq_deadline_at
-        model machine wl inputs.(i) index)
-    queries
+  let t0 = Robust.mono_now () in
+  let computed = Costmodel.feature_batch model inputs in
+  let forwards = Array.fold_left (fun n c -> if c then n + 1 else n) 0 computed in
+  let share = (Robust.mono_now () -. t0) /. float_of_int (max 1 forwards) in
+  ( Array.mapi
+      (fun i q ->
+        let wl = Workload.of_coo ~id:q.bq_id q.bq_coo in
+        let r =
+          tune ?pool ?k ?ef ~measure:q.bq_measure ?measure_retries
+            ?measure_backoff_s ?measure_budget_s ?asym
+            ?deadline_at:q.bq_deadline_at model machine wl inputs.(i) index
+        in
+        { r with feature_seconds = (if computed.(i) then share else 0.0) })
+      queries,
+    forwards )
 
 (* A model whose embedding width differs from the index's vector dimension
    would fail deep inside the first traversal (predictor input-row mismatch)

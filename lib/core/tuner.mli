@@ -111,7 +111,7 @@ val query :
   Costmodel.t -> Machine.t -> id:string -> Sptensor.Coo.t -> index -> result
 (** The reusable "answer one matrix" entry point ({!tune} over a raw COO):
     builds the workload and extractor input, then runs the three-phase
-    search.  [id] keys the model's feature cache — callers identifying
+    search.  [id] keys the model's feature memo — callers identifying
     matrices by content fingerprint get cross-request feature reuse. *)
 
 type batch_query = {
@@ -126,11 +126,14 @@ type batch_query = {
 val query_batch :
   ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int -> ?measure_retries:int ->
   ?measure_backoff_s:float -> ?measure_budget_s:float -> ?asym:bool ->
-  Costmodel.t -> Machine.t -> batch_query array -> index -> result array
-(** {!query} over a group of distinct matrices: all uncached features come
+  Costmodel.t -> Machine.t -> batch_query array -> index -> result array * int
+(** {!query} over a group of distinct matrices: all unmemoized features come
     from one batched extractor-plan execution (DESIGN.md §14) before the
     per-matrix searches run — serve phase B's one [run_batch] per kernel
-    slot.  Results align with the input order. *)
+    slot.  Results align with the input order; the int is how many features
+    that execution computed.  Queries sharing a [bq_id] share one feature.
+    Each member that computed a feature gets an equal share of the batched
+    execution's time as [feature_seconds]; memo hits report 0. *)
 
 val validate_compat : Costmodel.t -> index_file:string -> index -> unit
 (** Raises [Robust.Load_error (Malformed _)] (citing [index_file] and both

@@ -40,9 +40,6 @@ let run () =
       Printf.printf "%-22s" target.Machine.name;
       List.iter
         (fun (_, tr) ->
-          (* Tuning on a different machine: feature caches must not leak
-             between targets (the model is shared). *)
-          Waco.Costmodel.clear_feature_cache tr.Lab.model;
           Printf.printf " %11.2fx" (geomean_speedup tr target))
         trained_models;
       Printf.printf "\n")

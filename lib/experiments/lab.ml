@@ -152,7 +152,6 @@ let geomean xs =
 type tuned_case = {
   case_name : string;
   wl : Workload.t;
-  input : Waco.Extractor.input;
   waco : Waco.Tuner.result;
 }
 
@@ -167,7 +166,7 @@ let tuned_cases machine (algo : Algorithm.t) =
       let out =
         List.map
           (fun (name, (wl, input)) ->
-            { case_name = name; wl; input;
+            { case_name = name; wl;
               waco = Waco.Tuner.tune model machine wl input index })
           (test_cases algo)
       in

@@ -51,12 +51,13 @@ let run_fig17 () =
   List.iter
     (fun algo ->
       let trained = Lab.trained machine algo in
-      let cases = Lab.tuned_cases machine algo in
-      let take = List.filteri (fun i _ -> i < 12) cases in
+      (* Fresh inputs: a timed tune must not inherit a pyramid built by an
+         earlier one. *)
+      let take = List.filteri (fun i _ -> i < 12) (Lab.test_cases algo) in
       let acc = Hashtbl.create 4 in
       List.iter
-        (fun (c : Lab.tuned_case) ->
-          let _, fws = frameworks machine c.Lab.wl c.Lab.input algo trained in
+        (fun (_, (wl, input)) ->
+          let _, fws = frameworks machine wl input algo trained in
           List.iter
             (fun f ->
               let overheads, speeds =

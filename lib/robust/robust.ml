@@ -340,9 +340,12 @@ let backoff_delay ?(base_s = 0.01) ?(max_s = 2.0) ?(jitter = 0.5) ?(seed = 0)
      respects its cap and a budgeted loop never over-sleeps. *)
   capped *. (1.0 -. (jitter *. jitter_unit ~seed ~attempt))
 
-let with_retry_backoff ?(attempts = 3) ?(base_s = 0.01) ?(max_s = 2.0)
-    ?(jitter = 0.5) ?(seed = 0) ?budget_s ?on_retry ~label f =
+(* Exponential from [backoff_s] under the default 2 s cap, with a
+   label-derived jitter seed: deterministic for a given label (the fault
+   sweeps replay exactly), desynchronized across different call sites. *)
+let with_retry ?(attempts = 3) ?(backoff_s = 0.01) ?budget_s ?on_retry ~label f =
   let attempts = max 1 attempts in
+  let seed = Hashtbl.hash label in
   (* Elapsed time, so monotonic: a wall-clock step must not void (or
      extend) the retry budget. *)
   let start = mono_now () in
@@ -365,17 +368,9 @@ let with_retry_backoff ?(attempts = 3) ?(base_s = 0.01) ?(max_s = 2.0)
                label attempt msg)
         else begin
           (match on_retry with Some f -> f attempt msg | None -> ());
-          let delay = backoff_delay ~base_s ~max_s ~jitter ~seed ~attempt () in
+          let delay = backoff_delay ~base_s:backoff_s ~seed ~attempt () in
           if delay > 0.0 then Unix.sleepf delay;
           go (attempt + 1)
         end
   in
   go 1
-
-(* The original entry point, now a wrapper: same signature and semantics,
-   with the cap and a label-derived jitter seed on top — deterministic for a
-   given label (the fault sweeps replay exactly), desynchronized across
-   different call sites. *)
-let with_retry ?attempts ?(backoff_s = 0.01) ?budget_s ?on_retry ~label f =
-  with_retry_backoff ?attempts ~base_s:backoff_s ~seed:(Hashtbl.hash label)
-    ?budget_s ?on_retry ~label f

@@ -143,21 +143,15 @@ val backoff_delay :
     hammer a shared resource in lockstep.  Jitter only shortens the delay,
     so the cap and any wall-clock budget still hold. *)
 
-val with_retry_backoff :
-  ?attempts:int -> ?base_s:float -> ?max_s:float -> ?jitter:float ->
-  ?seed:int -> ?budget_s:float -> ?on_retry:(int -> string -> unit) ->
-  label:string -> (unit -> 'a) -> ('a, string) result
-(** Run [f] up to [attempts] times (default 3), sleeping
-    {!backoff_delay} between attempts, stopping early once [budget_s] wall
-    seconds have elapsed.  [on_retry attempt msg] fires before each retry
-    sleep (so callers — e.g. the serving daemon's metrics — can count
-    absorbed transients).  {!Faults.Injected} (a simulated crash) is
-    re-raised, never retried. *)
-
 val with_retry :
   ?attempts:int -> ?backoff_s:float -> ?budget_s:float ->
   ?on_retry:(int -> string -> unit) -> label:string ->
   (unit -> 'a) -> ('a, string) result
-(** {!with_retry_backoff} with its original signature: exponential from
-    [backoff_s], the default 2 s cap, and a jitter seed derived from
-    [label] — per-label deterministic, desynchronized across call sites. *)
+(** Run [f] up to [attempts] times (default 3), sleeping
+    {!backoff_delay} between attempts — exponential from [backoff_s], the
+    default 2 s cap, and a jitter seed derived from [label] (per-label
+    deterministic, desynchronized across call sites) — and stopping early
+    once [budget_s] seconds have elapsed.  [on_retry attempt msg] fires
+    before each retry sleep (so callers — e.g. the serving daemon's
+    metrics — can count absorbed transients).  {!Faults.Injected} (a
+    simulated crash) is re-raised, never retried. *)

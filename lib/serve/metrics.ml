@@ -186,20 +186,6 @@ let counters t =
 
 let counter t name = List.assoc_opt name (counters t)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(extra_ints = []) ?(extra = []) t =
   let ints = counters t @ extra_ints in
   let floats =
@@ -218,7 +204,7 @@ let to_json ?(extra_ints = []) ?(extra = []) t =
   List.iter (fun (k, v) -> Printf.bprintf buf "  \"%s\": %.6f,\n" k v) floats;
   List.iter
     (fun (k, v) ->
-      Printf.bprintf buf "  \"%s\": \"%s\",\n" (json_escape k) (json_escape v))
+      Printf.bprintf buf "  \"%s\": \"%s\",\n" (Json.escape k) (Json.escape v))
     extra;
   Printf.bprintf buf "  \"protocol_version\": %d\n" Protocol.version;
   Buffer.add_string buf "}\n";
@@ -227,22 +213,4 @@ let to_json ?(extra_ints = []) ?(extra = []) t =
 (* Pull an integer counter back out of a stats JSON dump — the client-side
    half of the observability loop (tests and `waco query --stats`). *)
 let json_counter text name =
-  let needle = "\"" ^ name ^ "\":" in
-  let tlen = String.length text and nlen = String.length needle in
-  let rec find i =
-    if i + nlen > tlen then None
-    else if String.sub text i nlen = needle then begin
-      let j = ref (i + nlen) in
-      while !j < tlen && text.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      while
-        !k < tlen
-        && (match text.[!k] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr k
-      done;
-      int_of_string_opt (String.sub text !j (!k - !j))
-    end
-    else find (i + 1)
-  in
-  find 0
+  Option.bind (Json.number_field text name) int_of_string_opt

@@ -94,9 +94,7 @@ val to_json :
     [extra] string fields (cache identity, socket path...), and the
     protocol version. *)
 
-val json_escape : string -> string
-(** A string's JSON-escaped body (no surrounding quotes). *)
-
 val json_counter : string -> string -> int option
 (** [json_counter json name] pulls an integer counter back out of a
-    {!to_json} dump — the client-side half of the loop. *)
+    {!to_json} dump — the client-side half of the loop; the first [name]
+    anywhere in [json] wins. *)

@@ -248,7 +248,7 @@ let stats_json t =
   let int k v = field k (string_of_int v) in
   field "listen"
     (Printf.sprintf "\"%s\""
-       (Metrics.json_escape (match t.bound with Some s -> s | None -> t.listen)));
+       (Json.escape (match t.bound with Some s -> s | None -> t.listen)));
   int "shards" (Array.length t.shards);
   int "shards_up" (live_count t);
   let m = t.metrics in
@@ -285,11 +285,11 @@ let compose_stats t (fan : statfan) =
     (fun i sh ->
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b "{\"name\": \"%s\", \"up\": %b, \"routed\": %d"
-        (Metrics.json_escape sh.name) (sh.link <> None) sh.routed;
+        (Json.escape sh.name) (sh.link <> None) sh.routed;
       (match fan.results.(i) with
       | Some (Ok json) -> Printf.bprintf b ", \"stats\": %s" json
       | Some (Error e) ->
-          Printf.bprintf b ", \"error\": \"%s\"" (Metrics.json_escape e)
+          Printf.bprintf b ", \"error\": \"%s\"" (Json.escape e)
       | None -> ());
       Buffer.add_string b "}")
     t.shards;

@@ -187,14 +187,14 @@ let coo_of_source = function
       | m -> Ok m
       | exception Invalid_argument e -> Error e)
 
+(* A pattern's key, which keys the feature memo both answer modes share.
+   The kernel-name prefix partitions the key space per served kernel, so
+   one fingerprint can never hand one kernel's schedule to another's. *)
+let pattern_key_of ~kernel fp = Waco.Kernel.name kernel ^ "/" ^ Fingerprint.key fp
+
 (* Cache keys separate the measured and predict-only answer spaces: the two
-   modes legitimately choose different schedules for the same pattern.  The
-   kernel-name prefix partitions the key space per served kernel, so the
-   same sparsity fingerprint can never hand one kernel's schedule to
-   another's query. *)
-let cache_key_of ~kernel ~measure fp =
-  Waco.Kernel.name kernel ^ "/" ^ Fingerprint.key fp
-  ^ if measure then "" else "#p"
+   modes legitimately choose different schedules for the same pattern. *)
+let cache_key_of ~measure pkey = if measure then pkey else pkey ^ "#p"
 
 (* Which slot answers a query: its named kernel's, or — kernel omitted, a
    pre-kernel client — the daemon's default slot.  A recognized kernel the
@@ -280,7 +280,7 @@ let compute t miss_keys misses =
   let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
   Array.iteri
     (fun i key ->
-      let si, _, _, _ = Hashtbl.find misses key in
+      let si, _, _, _, _ = Hashtbl.find misses key in
       match Hashtbl.find_opt groups si with
       | Some members -> members := i :: !members
       | None ->
@@ -295,23 +295,23 @@ let compute t miss_keys misses =
         Array.map
           (fun i ->
             let key = miss_keys.(i) in
-            let _, m, measure, deadline_at = Hashtbl.find misses key in
+            let _, pkey, m, measure, deadline_at = Hashtbl.find misses key in
             {
-              Waco.Tuner.bq_id = key;
+              Waco.Tuner.bq_id = pkey;
               bq_coo = m;
               bq_measure = measure;
               bq_deadline_at = deadline_at;
             })
           idxs
       in
-      Metrics.bump t.metrics (fun m ->
-          m.extractor_forwards <- m.extractor_forwards + Array.length idxs;
-          m.traversals <- m.traversals + Array.length idxs;
-          m.vm_batched_runs <- m.vm_batched_runs + 1);
-      let results =
+      let results, forwards =
         Waco.Tuner.query_batch ?pool:t.pool slot.model t.machine ~k:t.k
           ~ef:t.ef queries slot.index
       in
+      Metrics.bump t.metrics (fun m ->
+          m.extractor_forwards <- m.extractor_forwards + forwards;
+          m.traversals <- m.traversals + Array.length idxs;
+          m.vm_batched_runs <- m.vm_batched_runs + 1);
       Array.iteri
         (fun j i ->
           note_result t results.(j);
@@ -354,11 +354,12 @@ let process_stamped t (batch : (Protocol.query * float) list) :
               match coo_of_source q.Protocol.source with
               | Error e -> `Err e
               | Ok m ->
+                  let pkey =
+                    pattern_key_of ~kernel:t.slots.(si).kernel
+                      (Fingerprint.of_coo m)
+                  in
                   `Parsed
-                    ( si,
-                      cache_key_of ~kernel:t.slots.(si).kernel
-                        ~measure:q.Protocol.measure (Fingerprint.of_coo m),
-                      m ))
+                    (si, pkey, cache_key_of ~measure:q.Protocol.measure pkey, m))
         in
         span.Metrics.parse_s <- Robust.mono_now () -. t0;
         (q, deadline_at_of q ~arrival, span, outcome))
@@ -374,17 +375,17 @@ let process_stamped t (batch : (Protocol.query * float) list) :
     (fun (q, dl, _, outcome) ->
       match outcome with
       | `Err _ -> ()
-      | `Parsed (si, key, m) ->
+      | `Parsed (si, pkey, key, m) ->
           if Cache.find t.cache key = None then begin
             match Hashtbl.find_opt misses key with
-            | Some (si0, m0, measure0, dl0) ->
+            | Some (si0, pkey0, m0, measure0, dl0) ->
                 (* Another member already claims this key: relax the group
                    deadline to the laxest member. *)
                 Hashtbl.replace misses key
-                  (si0, m0, measure0, merge_deadline dl0 dl)
+                  (si0, pkey0, m0, measure0, merge_deadline dl0 dl)
             | None ->
                 if not (expired dl) then begin
-                  Hashtbl.add misses key (si, m, q.Protocol.measure, dl);
+                  Hashtbl.add misses key (si, pkey, m, q.Protocol.measure, dl);
                   miss_order := key :: !miss_order
                 end
           end)
@@ -443,7 +444,7 @@ let process_stamped t (batch : (Protocol.query * float) list) :
               m.request_errors <- m.request_errors + 1);
           Metrics.record_span t.metrics span;
           Protocol.Error_msg e
-      | `Parsed (si, key, m) -> (
+      | `Parsed (si, _, key, m) -> (
           match Hashtbl.find_opt computed key with
           | Some r ->
               span.Metrics.extract_s <- r.Waco.Tuner.feature_seconds;

@@ -440,7 +440,7 @@ let test_router_end_to_end () =
           let shard s =
             match
               counter_after j
-                (Printf.sprintf "{\"name\": \"%s\"" (Serve.Metrics.json_escape s))
+                (Printf.sprintf "{\"name\": \"%s\"" (Json.escape s))
                 key
             with
             | Some n -> n

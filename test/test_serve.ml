@@ -1037,6 +1037,51 @@ let test_batch_measure_modes_and_errors () =
   Alcotest.(check (option int)) "request error counted" (Some 1)
     (Serve.Metrics.counter (Serve.Server.metrics server) "request_errors")
 
+(* One feature per pattern, not per answer key: a predict-only and then a
+   measured query on one pattern compute one feature between them, and only
+   the query that computed it is charged extractor time. *)
+let test_feature_per_pattern () =
+  let server = mk_server () in
+  let metrics = Serve.Server.metrics server in
+  (* A pattern no other test sends: the fixture model's memo is shared. *)
+  let m = Gen.uniform (Rng.create 4711) ~nrows:40 ~ncols:40 ~nnz:150 in
+  let extract_s resp =
+    match resp with
+    | [ Serve.Protocol.Answer a ] -> List.assoc "extract" a.Serve.Protocol.spans
+    | _ -> Alcotest.fail "query failed"
+  in
+  let first = Serve.Server.process_batch server [ query_of ~measure:false m ] in
+  let second = Serve.Server.process_batch server [ query_of m ] in
+  Alcotest.(check (option int)) "two answer-cache misses" (Some 2)
+    (Serve.Metrics.counter metrics "cache_misses");
+  Alcotest.(check (option int)) "one forward for both modes" (Some 1)
+    (Serve.Metrics.counter metrics "extractor_forwards");
+  Alcotest.(check bool) "computing query charged" true (extract_s first > 0.0);
+  Alcotest.(check (float 0.0)) "memo hit charged nothing" 0.0 (extract_s second)
+
+(* Bounded daemon state: distinct patterns through the scheduler leave
+   their answers and features behind, not their coordinate pyramids. *)
+let test_live_heap_per_pattern () =
+  let server = mk_server () in
+  let send seed =
+    let m = Gen.uniform (Rng.create seed) ~nrows:256 ~ncols:256 ~nnz:3000 in
+    ignore (Serve.Server.process_batch server [ query_of ~measure:false m ])
+  in
+  let live_mb () =
+    Gc.compact ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6
+  in
+  (* Warm-up: plans compiled and scratch grown before the baseline. *)
+  send 9000;
+  let before = live_mb () in
+  let n = 32 in
+  for i = 1 to n do
+    send (9000 + i)
+  done;
+  let per_pattern = (live_mb () -. before) /. float_of_int n in
+  if per_pattern >= 0.1 then
+    Alcotest.failf "live heap grows %.3f MB per pattern (bound 0.1)" per_pattern
+
 (* Deadline semantics, bottom-up: a pre-expired deadline at the tuner gives
    the unmeasured fallback with reason "deadline"; a lax one changes
    nothing; at the scheduler a blown [deadline_ms] answers degraded and is
@@ -1762,6 +1807,10 @@ let () =
           Alcotest.test_case "dedup + cache hits" `Slow test_batch_dedup_and_hits;
           Alcotest.test_case "measure modes + request errors" `Slow
             test_batch_measure_modes_and_errors;
+          Alcotest.test_case "one feature per pattern" `Slow
+            test_feature_per_pattern;
+          Alcotest.test_case "live heap per pattern" `Slow
+            test_live_heap_per_pattern;
           Alcotest.test_case "pool determinism" `Slow test_batch_pool_determinism;
           Alcotest.test_case "deadline budgets" `Slow test_deadlines;
         ] );

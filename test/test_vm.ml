@@ -177,7 +177,7 @@ let test_run_batch_zero_alloc () =
   if per_iter > 64.0 then
     Alcotest.failf "run_batch allocates %.0f B/call (budget 64)" per_iter
 
-(* A warm extractor batch (pyramids cached per id) may pay only small
+(* A warm extractor batch (pyramids memoized on the inputs) may pay only small
    per-item lookup costs — nothing proportional to sites or pairs.  The old
    per-forward path allocated hundreds of KB on this shape. *)
 let test_forward_batch_alloc_budget () =

@@ -194,6 +194,34 @@ let test_feature_cache () =
   let f3 = Waco.Costmodel.feature model input in
   Alcotest.(check (array (float 1e-12))) "same values after clear" f1 f3
 
+(* The feature memo is bounded: past its capacity it resets before adding,
+   so it never holds more than [feature_capacity] features, and a batch's
+   own features survive the reset until its searches read them. *)
+let test_feature_memo_bound () =
+  let r = rng () in
+  let m = Gen.uniform r ~nrows:16 ~ncols:16 ~nnz:24 in
+  let model = Waco.Costmodel.create r algo in
+  let cap = Waco.Costmodel.feature_capacity in
+  let input i = Waco.Extractor.input_of_coo ~id:(Printf.sprintf "p%d" i) m in
+  let size () = Hashtbl.length model.Waco.Costmodel.feature_cache in
+  let peak = ref 0 in
+  for i = 1 to cap + 10 do
+    ignore (Waco.Costmodel.feature model (input i));
+    peak := max !peak (size ())
+  done;
+  Alcotest.(check bool) "single adds stay within capacity" true (!peak <= cap);
+  for b = 0 to (cap / 8) + 2 do
+    let batch = Array.init 8 (fun k -> input (cap + 100 + (8 * b) + k)) in
+    ignore (Waco.Costmodel.feature_batch model batch : bool array);
+    peak := max !peak (size ());
+    Array.iter
+      (fun (i : Waco.Extractor.input) ->
+        if not (Hashtbl.mem model.Waco.Costmodel.feature_cache i.Waco.Extractor.id)
+        then Alcotest.failf "batch member %s evicted by its own batch" i.Waco.Extractor.id)
+      batch
+  done;
+  Alcotest.(check bool) "batches stay within capacity" true (!peak <= cap)
+
 let () =
   Alcotest.run "waco"
     [
@@ -207,6 +235,7 @@ let () =
           Alcotest.test_case "predict tail" `Quick test_predict_tail_matches_full;
           Alcotest.test_case "save/load" `Quick test_save_load_roundtrip;
           Alcotest.test_case "feature cache" `Quick test_feature_cache;
+          Alcotest.test_case "feature memo bound" `Quick test_feature_memo_bound;
         ] );
       ( "training",
         [
