@@ -474,25 +474,15 @@ let kernels ~force () =
              ~out_ch:ch ~ksize ~stride)
          arch)
   in
-  let relus = Array.init nconv (fun _ -> Nn.Act.relu_create ()) in
   let pools = Array.init nconv (fun _ -> Nn.Pool.create ()) in
   let head = Nn.Linear.create rng ~name:"bench.head" ~in_dim:(nconv * ch) ~out_dim:Waco.Config.feature_dim in
   let flat_layers pyr =
     let cur = ref pyr.Nn.Pyramid.base in
     let pooled = ref [] in
     for i = 0 to nconv - 1 do
-      let o = Nn.Sparse_conv.forward_with_map convs.(i) pyr.Nn.Pyramid.maps.(i) !cur in
-      let activated =
-        {
-          o with
-          Nn.Smap.feats =
-            Nn.Act.relu_forward
-              ~n:(Nn.Smap.nsites o * ch)
-              relus.(i) o.Nn.Smap.feats;
-        }
-      in
-      pooled := Nn.Pool.forward pools.(i) activated :: !pooled;
-      cur := activated
+      let o = Nn.Sparse_conv.forward_with_map ~relu:true convs.(i) pyr.Nn.Pyramid.maps.(i) !cur in
+      pooled := Nn.Pool.forward pools.(i) o :: !pooled;
+      cur := o
     done;
     let concat = Array.concat (List.rev !pooled) in
     Array.sub (Nn.Linear.forward head ~batch:1 concat) 0 Waco.Config.feature_dim

@@ -63,6 +63,32 @@ let pool_of = function
   | n when n > 1 -> Some (Parallel.Pool.create ~domains:n)
   | n -> invalid_arg (Printf.sprintf "--domains %d: must be >= 0" n)
 
+(* --- model bootstrap (tune, serve) ---
+
+   A cost model and the schedule corpus its search index is built from.
+   Both helpers draw from [rng] in a fixed order, so a given --seed gives
+   the same model and answer. *)
+
+(* Train a fresh cost model for [algo] on a synthetic corpus; its dataset's
+   schedules are the index corpus. *)
+let fresh_model ?pool rng machine algo =
+  let corpus = Gen.suite rng ~count:16 ~max_dim:1024 ~max_nnz:60000 in
+  let mats = List.map (fun (g : Gen.named) -> (g.Gen.name, g.Gen.matrix)) corpus in
+  let data =
+    Waco.Dataset.of_matrices ?pool rng machine algo mats ~schedules_per_matrix:24
+      ~valid_fraction:0.2
+  in
+  let model = Waco.Costmodel.create rng algo in
+  ignore (Waco.Trainer.train ?pool ~lr:2e-3 rng model data ~epochs:(Waco.Config.epochs ()));
+  (model, Waco.Dataset.all_schedules data)
+
+(* Load a saved model.  No dataset is on hand, so the index corpus is 256
+   schedules sampled from the SuperSchedule space at [dims]. *)
+let loaded_model rng algo file ~dims =
+  let model = Waco.Costmodel.create rng algo in
+  Waco.Costmodel.load model file;
+  (model, Array.init 256 (fun _ -> Space.sample rng algo ~dims))
+
 (* --- gen --- *)
 
 let gen_cmd =
@@ -146,32 +172,16 @@ let tune_cmd =
         let model, corpus =
           match model_file with
           | Some file ->
-              let model = Waco.Costmodel.create rng algo in
-              Waco.Costmodel.load model file;
-              (* No dataset on hand: sample an index corpus from the
-                 SuperSchedule space sized to this matrix. *)
-              let rank = Algorithm.sparse_rank algo in
-              let dims =
-                Array.init rank (fun i -> if i = 0 then m.Coo.nrows else m.Coo.ncols)
-              in
-              (model, Array.init 256 (fun _ -> Space.sample rng algo ~dims))
+              (* The index corpus is sized to this matrix. *)
+              loaded_model rng algo file
+                ~dims:
+                  (Array.init (Algorithm.sparse_rank algo) (fun i ->
+                       if i = 0 then m.Coo.nrows else m.Coo.ncols))
           | None ->
               Printf.eprintf
                 "training a fresh %s cost model (pass --model to reuse one)...\n%!"
                 algo_name;
-              let corpus = Gen.suite rng ~count:16 ~max_dim:1024 ~max_nnz:60000 in
-              let mats =
-                List.map (fun (g : Gen.named) -> (g.Gen.name, g.Gen.matrix)) corpus
-              in
-              let data =
-                Waco.Dataset.of_matrices ?pool rng machine algo mats
-                  ~schedules_per_matrix:24 ~valid_fraction:0.2
-              in
-              let model = Waco.Costmodel.create rng algo in
-              ignore
-                (Waco.Trainer.train ?pool ~lr:2e-3 rng model data
-                   ~epochs:(Waco.Config.epochs ()));
-              (model, Waco.Dataset.all_schedules data)
+              fresh_model ?pool rng machine algo
         in
         let index =
           match index_file with
@@ -380,38 +390,16 @@ let serve_cmd =
     let algo = resolve_algo ~algo_name kernel_name in
     let rng = Rng.create seed in
     let pool = pool_of domains in
-    (* Train a cost model for [algo] from a fresh synthetic corpus — the
-       no---model path for the primary slot, and the only path for
-       --extra-kernel slots. *)
-    let fresh_model kalgo =
-      let corpus = Gen.suite rng ~count:16 ~max_dim:1024 ~max_nnz:60000 in
-      let mats =
-        List.map (fun (g : Gen.named) -> (g.Gen.name, g.Gen.matrix)) corpus
-      in
-      let data =
-        Waco.Dataset.of_matrices ?pool rng machine kalgo mats
-          ~schedules_per_matrix:24 ~valid_fraction:0.2
-      in
-      let model = Waco.Costmodel.create rng kalgo in
-      ignore
-        (Waco.Trainer.train ?pool ~lr:2e-3 rng model data
-           ~epochs:(Waco.Config.epochs ()));
-      (model, Waco.Dataset.all_schedules data)
-    in
     match
       let model, corpus =
         match model_file with
         | Some file ->
-            let model = Waco.Costmodel.create rng algo in
-            Waco.Costmodel.load model file;
-            (* No dataset on hand: sample an index corpus from the
-               SuperSchedule space at the default dimensions. *)
-            let dims = Array.make (Algorithm.sparse_rank algo) 1024 in
-            (model, Array.init 256 (fun _ -> Space.sample rng algo ~dims))
+            (* The index corpus is sampled at the default dimensions. *)
+            loaded_model rng algo file ~dims:(Array.make (Algorithm.sparse_rank algo) 1024)
         | None ->
             log ("training a fresh " ^ Algorithm.name algo
                  ^ " cost model (pass --model to reuse one)...");
-            fresh_model algo
+            fresh_model ?pool rng machine algo
       in
       let index, index_src =
         match index_file with
@@ -429,7 +417,7 @@ let serve_cmd =
             let kalgo = Waco.Kernel.to_algo (kernel_of_cli kname) in
             log ("training a fresh " ^ Algorithm.name kalgo
                  ^ " cost model for --extra-kernel " ^ kname ^ "...");
-            let emodel, ecorpus = fresh_model kalgo in
+            let emodel, ecorpus = fresh_model ?pool rng machine kalgo in
             let eindex = Waco.Tuner.build_index ?pool rng emodel ecorpus in
             (emodel, eindex, "<built fresh>"))
           extra_kernels

@@ -251,15 +251,12 @@ let predict_tail_batch ?kernel t ~feature ~embs ~batch =
   Array.sub (Vm.Plan.run_batch c.c_tail ~batch) 0 batch
 
 (* Full prediction for a batch of schedules against one matrix. *)
-let predict_batch ?kernel t (input : Extractor.input) (schedules : Superschedule.t array)
-    =
+let predict ?kernel t (input : Extractor.input) (schedules : Superschedule.t array) =
   let batch = Array.length schedules in
   let feature = feature t input in
   let c = compile t in
   let embs = Embedder.forward_compiled c.c_emb schedules in
   predict_tail_batch ?kernel t ~feature ~embs ~batch
-
-let predict = predict_batch
 
 (* --- Persistence: flat text dump of all parameters, matched by name, inside
    the checksummed [Robust] artifact envelope and written atomically.  A crash

@@ -99,16 +99,11 @@ val predict_tail_batch :
     predictions for [batch] embeddings (rows of [embs] at stride
     [Config.embed_dim]) against one shared feature. *)
 
-val predict_batch :
+val predict :
   ?kernel:Kernel.t -> t -> Extractor.input -> Superschedule.t array ->
   float array
 (** Full prediction for a batch of schedules against one matrix, conditioned
     on [kernel] (default {!kernel_of}); one plan execution per model stage. *)
-
-val predict :
-  ?kernel:Kernel.t -> t -> Extractor.input -> Superschedule.t array ->
-  float array
-(** [predict_batch]. *)
 
 val dump_params : t -> string
 (** The flat text dump of all parameters that {!save} wraps in the artifact

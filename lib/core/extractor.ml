@@ -54,8 +54,7 @@ let input_of_coo ~id (m : Coo.t) =
 let input_of_tensor3 ~id (t : Tensor3.t) = input_of_coo ~id (Tensor3.flatten t)
 
 type conv_stack = {
-  convs : Nn.Sparse_conv.t array;
-  relus : Nn.Act.relu array;
+  convs : Nn.Sparse_conv.t array; (* each with its ReLU fused *)
   pools : Nn.Pool.t array; (* length = nconvs if pool_all, else 1 *)
   pool_all : bool;
   head : Nn.Linear.t; (* pooled concat -> feature *)
@@ -112,7 +111,6 @@ let create rng kind =
           Conv
             {
               convs;
-              relus = Array.init nconv (fun _ -> Nn.Act.relu_create ());
               pools = Array.init npools (fun _ -> Nn.Pool.create ());
               pool_all;
               head;
@@ -142,7 +140,6 @@ let replicate t =
             {
               c with
               convs = Array.map Nn.Sparse_conv.replicate c.convs;
-              relus = Array.map (fun _ -> Nn.Act.relu_create ()) c.relus;
               pools = Array.map (fun _ -> Nn.Pool.create ()) c.pools;
               head = Nn.Linear.replicate c.head;
             };
@@ -178,19 +175,12 @@ let forward t (input : input) =
       let pooled = ref [] in
       let cur = ref pyr.Nn.Pyramid.base in
       for i = 0 to nconv - 1 do
-        let m = Nn.Sparse_conv.forward_with_map c.convs.(i) pyr.Nn.Pyramid.maps.(i) !cur in
-        let activated =
-          {
-            m with
-            Nn.Smap.feats =
-              Nn.Act.relu_forward
-                ~n:(Nn.Smap.nsites m * m.Nn.Smap.channels)
-                c.relus.(i) m.Nn.Smap.feats;
-          }
+        let m =
+          Nn.Sparse_conv.forward_with_map ~relu:true c.convs.(i) pyr.Nn.Pyramid.maps.(i) !cur
         in
-        if c.pool_all then pooled := Nn.Pool.forward c.pools.(i) activated :: !pooled
-        else if i = nconv - 1 then pooled := [ Nn.Pool.forward c.pools.(0) activated ];
-        cur := activated
+        if c.pool_all then pooled := Nn.Pool.forward c.pools.(i) m :: !pooled
+        else if i = nconv - 1 then pooled := [ Nn.Pool.forward c.pools.(0) m ];
+        cur := m
       done;
       (* Pool scratch buffers are exactly [Config.channels] long (the pooled
          width never varies per instance), so concatenating them whole is the
@@ -213,7 +203,8 @@ let backward t (dfeat : float array) =
       (* Walk layers deepest-first, merging pooled gradients with the gradient
          arriving from the next conv in place.  Buffers may be longer than
          their valid prefix; the valid extent at layer [i]'s output is what
-         its conv cached. *)
+         its conv cached.  Each d(output) is a layer scratch buffer nothing
+         else keeps, so the conv may mask it by its ReLU in place. *)
       let dnext = ref [||] in
       for i = nconv - 1 downto 0 do
         let conv = c.convs.(i) in
@@ -232,8 +223,7 @@ let backward t (dfeat : float array) =
           end
           else !dnext
         in
-        let dpre = Nn.Act.relu_backward c.relus.(i) dact in
-        dnext := Nn.Sparse_conv.backward conv dpre
+        dnext := Nn.Sparse_conv.backward conv dact
       done
 
 (* Compile-once/execute-many forward (DESIGN.md §14): one VM plan per

@@ -173,10 +173,11 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
        expensive phase: with [asym] (the default), top-k points the analyzer
        proves asymptotically dominated by the fixed-CSR baseline on this
        workload are dropped before any "hardware" measurement.  Running the
-       filter after the traversal keeps the graph walk byte-identical to the
-       unfiltered one, so enabling it can only remove measurements of
-       guaranteed-terrible candidates — the surviving ranking, and hence the
-       chosen schedule, never shifts under it. *)
+       filter after the traversal keeps the graph walk and the surviving
+       ranking byte-identical to the unfiltered one.  It can still change
+       the chosen schedule: asymptotic dominance does not bound the constant
+       factors the simulator measures, so a pruned candidate can be the
+       fastest (BENCH_asym.json's [chosen_changed]; DESIGN.md §11). *)
     let analyzer =
       if asym then
         Some (Asym.Analyzer.of_workload ~algo:model.Costmodel.algo wl)

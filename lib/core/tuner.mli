@@ -73,10 +73,11 @@ val tune :
     pre-filter before phase 3: schedules {!Asym.Analyzer.prunes} proves
     asymptotically dominated by the fixed-CSR baseline on this workload are
     dropped without a measurement run, counted in [asym_pruned].  The filter
-    runs after the graph walk, so the traversal — and with it the surviving
-    candidates' ranking and the chosen schedule — is identical to the
-    unfiltered search; pruning only removes simulator runs spent on
-    guaranteed-terrible candidates.
+    runs after the graph walk, so the traversal and the surviving
+    candidates' ranking are identical to the unfiltered search.  The chosen
+    schedule is not: a pruned candidate may be the one the simulator would
+    measure fastest, and then a slower one wins ([chosen_changed] in
+    [BENCH_asym.json], on its block-dense matrix; DESIGN.md §11).
 
     With [measure = false] (the serving daemon's cheap path) phase 3 is
     skipped entirely: the traversal's best-predicted candidate is returned

@@ -13,6 +13,7 @@ type t = {
   b : Param.t; (* out_dim *)
   mutable cache_input : float array;
   mutable cache_batch : int;
+  mutable cache_relu : bool; (* forward fused a ReLU: backward masks by out *)
   mutable scratch_out : float array; (* grow-only forward output *)
   mutable scratch_din : float array; (* grow-only backward d(input) *)
 }
@@ -27,6 +28,7 @@ let create rng ~name ~in_dim ~out_dim =
     b = Param.create ~name:(name ^ ".b") out_dim;
     cache_input = [||];
     cache_batch = 0;
+    cache_relu = false;
     scratch_out = [||];
     scratch_din = [||];
   }
@@ -36,39 +38,25 @@ let params t = [ t.w; t.b ]
 (* Forward-only copy for another domain: parameters are shared (reads only),
    the per-forward caches and scratch buffers are private. *)
 let replicate t =
-  { t with cache_input = [||]; cache_batch = 0; scratch_out = [||]; scratch_din = [||] }
+  {
+    t with
+    cache_input = [||];
+    cache_batch = 0;
+    cache_relu = false;
+    scratch_out = [||];
+    scratch_din = [||];
+  }
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
-let forward t ~batch (input : float array) =
-  if Array.length input < batch * t.in_dim then
-    invalid_arg "Linear.forward: input size mismatch";
-  t.cache_input <- input;
-  t.cache_batch <- batch;
-  t.scratch_out <- grown t.scratch_out (batch * t.out_dim);
-  let out = t.scratch_out in
-  for n = 0 to batch - 1 do
-    let ib = n * t.in_dim and ob = n * t.out_dim in
-    for o = 0 to t.out_dim - 1 do
-      let acc = ref t.b.Param.data.(o) in
-      let wb = o * t.in_dim in
-      for i = 0 to t.in_dim - 1 do
-        acc := !acc +. (t.w.Param.data.(wb + i) *. input.(ib + i))
-      done;
-      out.(ob + o) <- !acc
-    done
-  done;
-  out
-
-(* Blocked batched GEMM over strided row views with the bias add and an
-   optional trailing ReLU fused in — the inference VM's Gemm instruction
-   (DESIGN.md §14).  Per-cell accumulation is exactly [forward]'s: seeded
-   with the bias, then the full input extent in ascending order into one
-   accumulator, so results are bitwise-equal to forward(-then-relu) on the
-   eager path.  Tiling covers batch rows only (four row accumulators share
-   one streamed weight row); the reduction dimension is never split, which
-   is what keeps the identity exact.  Forward-only: no caching, and zero
-   allocation. *)
+(* The layer's one forward kernel, shared by [forward] and the inference
+   VM's Gemm instruction (DESIGN.md §14): a blocked batched GEMM over
+   strided row views with the bias add and an optional trailing ReLU fused
+   in.  Every output cell is one accumulator seeded with the bias, then the
+   full input extent in ascending order.  Tiling covers batch rows only
+   (four row accumulators share one streamed weight row); the reduction
+   dimension is never split, so a cell's value does not depend on its
+   batch or row position.  Forward-only: no caching, and zero allocation. *)
 let forward_into t ~batch ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride ~relu =
   if batch > 0 then begin
     let id = t.in_dim and od = t.out_dim in
@@ -129,20 +117,34 @@ let forward_into t ~batch ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride ~r
     done
   end
 
+(* Caches what [backward] needs, then runs [forward_into] into this
+   layer's scratch: the layer has one forward kernel. *)
+let forward ?(relu = false) t ~batch (input : float array) =
+  t.cache_input <- input;
+  t.cache_batch <- batch;
+  t.cache_relu <- relu;
+  t.scratch_out <- grown t.scratch_out (batch * t.out_dim);
+  forward_into t ~batch ~src:input ~src_off:0 ~src_stride:t.in_dim ~dst:t.scratch_out
+    ~dst_off:0 ~dst_stride:t.out_dim ~relu;
+  t.scratch_out
+
 (* Accumulates dW, db; returns d(input) in this instance's scratch buffer
-   (valid prefix = batch * in_dim, valid until the next backward). *)
+   (valid prefix = batch * in_dim, valid until the next backward).  After a
+   [~relu:true] forward, d(output) is read through the ReLU's mask: the
+   forward's output is [> 0] exactly where the pre-activation was (NaN and
+   -0.0 included). *)
 let backward t (dout : float array) =
   let batch = t.cache_batch in
   if Array.length dout < batch * t.out_dim then
     invalid_arg "Linear.backward: dout size mismatch";
-  let input = t.cache_input in
+  let input = t.cache_input and out = t.scratch_out in
   t.scratch_din <- grown t.scratch_din (batch * t.in_dim);
   let din = t.scratch_din in
   Array.fill din 0 (batch * t.in_dim) 0.0;
   for n = 0 to batch - 1 do
     let ib = n * t.in_dim and ob = n * t.out_dim in
     for o = 0 to t.out_dim - 1 do
-      let g = dout.(ob + o) in
+      let g = if t.cache_relu && not (out.(ob + o) > 0.0) then 0.0 else dout.(ob + o) in
       if g <> 0.0 then begin
         let wb = o * t.in_dim in
         t.b.Param.grad.(o) <- t.b.Param.grad.(o) +. g;

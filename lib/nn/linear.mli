@@ -13,6 +13,7 @@ type t = {
   b : Param.t;
   mutable cache_input : float array;
   mutable cache_batch : int;
+  mutable cache_relu : bool;  (** the cached forward fused a ReLU *)
   mutable scratch_out : float array;  (** grow-only forward output *)
   mutable scratch_din : float array;  (** grow-only backward d(input) *)
 }
@@ -26,10 +27,6 @@ val replicate : t -> t
     parameters (which must not be updated meanwhile), owns fresh caches and
     scratch buffers. *)
 
-val forward : t -> batch:int -> float array -> float array
-(** Input length must be at least [batch * in_dim]; the result is this
-    instance's scratch buffer (valid prefix [batch * out_dim]). *)
-
 val forward_into :
   t ->
   batch:int ->
@@ -41,13 +38,22 @@ val forward_into :
   dst_stride:int ->
   relu:bool ->
   unit
-(** Blocked batched GEMM over strided row views, bias and an optional
-    trailing ReLU fused in — the inference VM's batched entry point
-    (DESIGN.md §14).  Row [n] of the input occupies
+(** The layer's one forward kernel, used by {!forward} and by the inference
+    VM (DESIGN.md §14): a blocked batched GEMM over strided row views, bias
+    and an optional trailing ReLU fused in.  Row [n] of the input occupies
     [src_off + n*src_stride ..+ in_dim]; outputs land at
-    [dst_off + n*dst_stride ..+ out_dim].  Bitwise-equal to
-    [forward](-then-ReLU); forward-only (no caching), zero allocation. *)
+    [dst_off + n*dst_stride ..+ out_dim].  Each output cell is one
+    ascending accumulation chain seeded with the bias, whatever the batch.
+    Forward-only (no caching), zero allocation. *)
+
+val forward : ?relu:bool -> t -> batch:int -> float array -> float array
+(** Caches the input for {!backward}, then {!forward_into} this instance's
+    scratch buffer, which is returned (valid prefix [batch * out_dim]).
+    Input length must be at least [batch * in_dim].  With [relu] (default
+    [false]) the ReLU is fused and backward masks by this output. *)
 
 val backward : t -> float array -> float array
 (** Accumulates dW, db; returns d(input) in this instance's scratch buffer
-    (valid prefix [batch * in_dim]). *)
+    (valid prefix [batch * in_dim]).  After a [~relu:true] forward,
+    d(output) counts only where that output is [> 0]; [dout] itself is not
+    written. *)

@@ -2,11 +2,7 @@
    last one) — the "multiple linear-ReLU layers" building block the paper's
    cost model uses everywhere (Figs. 6, 9, 11). *)
 
-type t = {
-  linears : Linear.t array;
-  relus : Act.relu array; (* one per activated layer *)
-  final_relu : bool;
-}
+type t = { linears : Linear.t array; final_relu : bool }
 
 let create rng ~name ~dims ~final_relu =
   let n = Array.length dims - 1 in
@@ -17,19 +13,14 @@ let create rng ~name ~dims ~final_relu =
           ~name:(Printf.sprintf "%s.%d" name l)
           ~in_dim:dims.(l) ~out_dim:dims.(l + 1))
   in
-  let n_act = if final_relu then n else n - 1 in
-  { linears; relus = Array.init n_act (fun _ -> Act.relu_create ()); final_relu }
+  { linears; final_relu }
 
 let params t =
   Array.to_list t.linears |> List.concat_map Linear.params
 
 (* Forward-only copy for another domain: shared parameters, private caches. *)
 let replicate t =
-  {
-    linears = Array.map Linear.replicate t.linears;
-    relus = Array.map (fun _ -> Act.relu_create ()) t.relus;
-    final_relu = t.final_relu;
-  }
+  { t with linears = Array.map Linear.replicate t.linears }
 
 let out_dim t = t.linears.(Array.length t.linears - 1).Linear.out_dim
 
@@ -37,7 +28,7 @@ let in_dim t = t.linears.(0).Linear.in_dim
 
 let layers t = t.linears
 
-let relu_after t l = l < Array.length t.relus
+let relu_after t l = t.final_relu || l < Array.length t.linears - 1
 
 let forward t ~batch x =
   (* Width guard: a caller whose row builder disagrees with the stack's
@@ -48,23 +39,16 @@ let forward t ~batch x =
     invalid_arg
       (Printf.sprintf "Mlp.forward: %d floats for batch %d of width %d"
          (Array.length x) batch (in_dim t));
-  let n = Array.length t.linears in
   let cur = ref x in
-  for l = 0 to n - 1 do
-    cur := Linear.forward t.linears.(l) ~batch !cur;
-    if l < Array.length t.relus then
-      (* Linear returns a grow-only scratch buffer; only the batch prefix is
-         meaningful. *)
-      cur :=
-        Act.relu_forward ~n:(batch * t.linears.(l).Linear.out_dim) t.relus.(l) !cur
+  for l = 0 to Array.length t.linears - 1 do
+    cur := Linear.forward ~relu:(relu_after t l) t.linears.(l) ~batch !cur
   done;
   !cur
 
+(* Each layer masks d(output) by its own fused ReLU. *)
 let backward t dout =
-  let n = Array.length t.linears in
   let cur = ref dout in
-  for l = n - 1 downto 0 do
-    if l < Array.length t.relus then cur := Act.relu_backward t.relus.(l) !cur;
+  for l = Array.length t.linears - 1 downto 0 do
     cur := Linear.backward t.linears.(l) !cur
   done;
   !cur

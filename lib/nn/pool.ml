@@ -16,25 +16,37 @@ let create () = { nsites = 0; channels = 0; out = [||]; din = [||] }
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
+(* The layer's one forward kernel, shared by [forward] and the inference
+   VM's Pool instruction (DESIGN.md §14): the per-channel mean of
+   [nsites] site-major rows of [src] into [dst.(dst_off ..+ channels)]. *)
+let forward_into ~nsites ~channels ~src ~dst ~dst_off =
+  if dst_off < 0 || dst_off + channels > Array.length dst then
+    invalid_arg "Pool.forward_into: dst too short";
+  if nsites * channels > Array.length src then invalid_arg "Pool.forward_into: src too short";
+  for ch = 0 to channels - 1 do
+    Array.unsafe_set dst (dst_off + ch) 0.0
+  done;
+  if nsites > 0 then begin
+    for s = 0 to nsites - 1 do
+      let sb = s * channels in
+      for ch = 0 to channels - 1 do
+        Array.unsafe_set dst (dst_off + ch)
+          (Array.unsafe_get dst (dst_off + ch) +. Array.unsafe_get src (sb + ch))
+      done
+    done;
+    let scale = 1.0 /. float_of_int nsites in
+    for ch = 0 to channels - 1 do
+      Array.unsafe_set dst (dst_off + ch) (Array.unsafe_get dst (dst_off + ch) *. scale)
+    done
+  end
+
 let forward t (m : Smap.t) =
   let n = Smap.nsites m and c = m.Smap.channels in
   t.nsites <- n;
   t.channels <- c;
   t.out <- grown t.out c;
-  let out = t.out in
-  Array.fill out 0 c 0.0;
-  if n > 0 then begin
-    for s = 0 to n - 1 do
-      for ch = 0 to c - 1 do
-        out.(ch) <- out.(ch) +. m.Smap.feats.((s * c) + ch)
-      done
-    done;
-    let scale = 1.0 /. float_of_int n in
-    for ch = 0 to c - 1 do
-      out.(ch) <- out.(ch) *. scale
-    done
-  end;
-  out
+  forward_into ~nsites:n ~channels:c ~src:m.Smap.feats ~dst:t.out ~dst_off:0;
+  t.out
 
 (* d(feats) from d(pooled); pure assignment over the valid prefix, so no
    zero-fill of the scratch is needed. *)

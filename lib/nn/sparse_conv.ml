@@ -35,6 +35,7 @@ type t = {
   w : Param.t; (* [ksize*ksize] x out_ch x in_ch *)
   b : Param.t;
   mutable cache_map : kernel_map option;
+  mutable cache_relu : bool; (* forward fused a ReLU: backward masks by out *)
   mutable cache_in : float array; (* grow-only scratch; valid prefix below *)
   mutable cache_in_valid : int;
   mutable cache_nsites_out : int;
@@ -61,6 +62,7 @@ let create rng ~name ~in_ch ~out_ch ~ksize ~stride =
        Array.fill p.Param.data 0 out_ch 0.01;
        p);
     cache_map = None;
+    cache_relu = false;
     cache_in = [||];
     cache_in_valid = 0;
     cache_nsites_out = 0;
@@ -77,6 +79,7 @@ let replicate t =
   {
     t with
     cache_map = None;
+    cache_relu = false;
     cache_in = [||];
     cache_in_valid = 0;
     cache_nsites_out = 0;
@@ -289,52 +292,140 @@ let build_map ~ksize ~stride coords ~h ~w =
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
-(* Forward over an explicit kernel map (the cached-pyramid path).  The
-   returned map's [feats] is this layer's scratch buffer: it is valid until
-   the next [forward] on the same instance, and callers that retain it must
-   copy (see DESIGN.md §9 for the ownership rules). *)
-let forward_with_map t (map : kernel_map) (input : Smap.t) : Smap.t =
-  if input.Smap.channels <> t.in_ch then invalid_arg "Sparse_conv.forward: channel mismatch";
+(* The layer's one forward kernel, shared by training ([forward_with_map])
+   and the inference VM's Conv instruction (DESIGN.md §14): [dst] gets
+   bias + the map's pair products for [n_out = |out_coords|] sites, then an
+   optional ReLU once every reduction is complete.  Order: bias init over
+   all sites first, then kernel offsets ascending, pairs ascending within
+   each offset segment, and per pair one ascending inner-channel
+   accumulation chain seeded with [0.0] added to the output site.  The 1-
+   and 6-channel widths WACONet uses get specialized loops that keep exactly
+   that float-op sequence.  Forward-only: no caching, no allocation. *)
+let forward_into t (map : kernel_map) ~src ~dst ~relu =
   let n_out = Array.length map.out_coords in
   let ci = t.in_ch and co = t.out_ch in
-  t.scratch_out <- grown t.scratch_out (n_out * co);
-  let out = t.scratch_out in
-  let wdata = t.w.Param.data and input_feats = input.Smap.feats in
-  (* bias *)
+  if Array.length dst < n_out * co then invalid_arg "Sparse_conv.forward_into: dst too short";
+  let w = t.w.Param.data and bias = t.b.Param.data in
+  (* Trust boundary: the map builders guarantee a map's segments and pair
+     indices are in range; one explicit check keeps the unsafe loops
+     honest. *)
+  let ostart = map.off_start and pin = map.pairs_in and pout = map.pairs_out in
+  let nk = Array.length ostart - 1 and np = map_npairs map in
+  let bad () = invalid_arg "Sparse_conv.forward_into: kernel map out of range" in
+  if nk > t.ksize * t.ksize || Array.length pout <> np || ostart.(0) <> 0 then bad ();
+  for off = 0 to nk - 1 do
+    if ostart.(off + 1) < ostart.(off) || ostart.(off + 1) > np then bad ()
+  done;
+  if np > 0 then begin
+    (* [signs] goes negative iff some index is. *)
+    let signs = ref 0 and max_in = ref 0 and max_out = ref 0 in
+    for p = 0 to np - 1 do
+      let i = Array.unsafe_get pin p and o = Array.unsafe_get pout p in
+      signs := !signs lor i lor o;
+      if i > !max_in then max_in := i;
+      if o > !max_out then max_out := o
+    done;
+    if !signs < 0 || (!max_in + 1) * ci > Array.length src || !max_out >= n_out then bad ()
+  end;
   for s = 0 to n_out - 1 do
+    let sb = s * co in
     for o = 0 to co - 1 do
-      out.((s * co) + o) <- t.b.Param.data.(o)
+      Array.unsafe_set dst (sb + o) (Array.unsafe_get bias o)
     done
   done;
-  let nk = Array.length map.off_start - 1 in
-  for off = 0 to nk - 1 do
-    let wbase = off * co * ci in
-    for p = map.off_start.(off) to map.off_start.(off + 1) - 1 do
-      let ib = map.pairs_in.(p) * ci and ob = map.pairs_out.(p) * co in
-      for o = 0 to co - 1 do
-        let wrow = wbase + (o * ci) in
-        let acc = ref 0.0 in
-        for i = 0 to ci - 1 do
-          acc := !acc +. (wdata.(wrow + i) *. input_feats.(ib + i))
-        done;
-        out.(ob + o) <- out.(ob + o) +. !acc
+  if ci = 1 then
+    (* Single input channel (WACONet's first conv): the per-pair reduction is
+       one product.  [0.0 +.] keeps the accumulator's first step bit-for-bit
+       (sign of zero included). *)
+    for off = 0 to nk - 1 do
+      let wb = off * co in
+      for p = Array.unsafe_get ostart off to Array.unsafe_get ostart (off + 1) - 1 do
+        let x = Array.unsafe_get src (Array.unsafe_get pin p) in
+        let ob = Array.unsafe_get pout p * co in
+        for o = 0 to co - 1 do
+          Array.unsafe_set dst (ob + o)
+            (Array.unsafe_get dst (ob + o) +. (0.0 +. (Array.unsafe_get w (wb + o) *. x)))
+        done
       done
     done
-  done;
+  else if ci = 6 then
+    (* Six input channels (WACONet's stacked convs): hoist the input loads
+       out of the output-channel loop — the generic path reloads all [ci]
+       inputs per output channel — and unroll the reduction.  The explicit
+       left-to-right chain seeded with [0.0 +.] is the generic accumulator's
+       exact float-op sequence. *)
+    for off = 0 to nk - 1 do
+      let wbase = off * co * 6 in
+      for p = Array.unsafe_get ostart off to Array.unsafe_get ostart (off + 1) - 1 do
+        let ib = Array.unsafe_get pin p * 6 in
+        let ob = Array.unsafe_get pout p * co in
+        let x0 = Array.unsafe_get src ib
+        and x1 = Array.unsafe_get src (ib + 1)
+        and x2 = Array.unsafe_get src (ib + 2)
+        and x3 = Array.unsafe_get src (ib + 3)
+        and x4 = Array.unsafe_get src (ib + 4)
+        and x5 = Array.unsafe_get src (ib + 5) in
+        for o = 0 to co - 1 do
+          let wrow = wbase + (o * 6) in
+          let acc =
+            0.0
+            +. (Array.unsafe_get w wrow *. x0)
+            +. (Array.unsafe_get w (wrow + 1) *. x1)
+            +. (Array.unsafe_get w (wrow + 2) *. x2)
+            +. (Array.unsafe_get w (wrow + 3) *. x3)
+            +. (Array.unsafe_get w (wrow + 4) *. x4)
+            +. (Array.unsafe_get w (wrow + 5) *. x5)
+          in
+          Array.unsafe_set dst (ob + o) (Array.unsafe_get dst (ob + o) +. acc)
+        done
+      done
+    done
+  else
+    for off = 0 to nk - 1 do
+      let wbase = off * co * ci in
+      for p = Array.unsafe_get ostart off to Array.unsafe_get ostart (off + 1) - 1 do
+        let ib = Array.unsafe_get pin p * ci in
+        let ob = Array.unsafe_get pout p * co in
+        for o = 0 to co - 1 do
+          let wrow = wbase + (o * ci) in
+          let acc = ref 0.0 in
+          for i = 0 to ci - 1 do
+            acc := !acc +. (Array.unsafe_get w (wrow + i) *. Array.unsafe_get src (ib + i))
+          done;
+          Array.unsafe_set dst (ob + o) (Array.unsafe_get dst (ob + o) +. !acc)
+        done
+      done
+    done;
+  if relu then
+    for k = 0 to (n_out * co) - 1 do
+      if not (Array.unsafe_get dst k > 0.0) then Array.unsafe_set dst k 0.0
+    done
+
+(* Forward over an explicit kernel map (the cached-pyramid path): the
+   kernel above into this layer's scratch, plus the backward caches.  The
+   returned map's [feats] is that scratch buffer: it is valid until the
+   next [forward] on the same instance, and callers that retain it must
+   copy (see DESIGN.md §9 for the ownership rules). *)
+let forward_with_map ?(relu = false) t (map : kernel_map) (input : Smap.t) : Smap.t =
+  if input.Smap.channels <> t.in_ch then invalid_arg "Sparse_conv.forward: channel mismatch";
+  let n_out = Array.length map.out_coords in
+  t.scratch_out <- grown t.scratch_out (n_out * t.out_ch);
+  forward_into t map ~src:input.Smap.feats ~dst:t.scratch_out ~relu;
   t.cache_map <- Some map;
+  t.cache_relu <- relu;
   (* Copy into the reused input cache, don't alias: a caller mutating its
      feature buffer between forward and backward must not corrupt dW. *)
-  let in_valid = Smap.nsites input * ci in
+  let in_valid = Smap.nsites input * t.in_ch in
   t.cache_in <- grown t.cache_in in_valid;
-  Array.blit input_feats 0 t.cache_in 0 in_valid;
+  Array.blit input.Smap.feats 0 t.cache_in 0 in_valid;
   t.cache_in_valid <- in_valid;
   t.cache_nsites_out <- n_out;
   {
     Smap.h = map.out_h;
     w = map.out_w;
     coords = map.out_coords;
-    channels = co;
-    feats = out;
+    channels = t.out_ch;
+    feats = t.scratch_out;
   }
 
 let forward t (input : Smap.t) : Smap.t =
@@ -346,7 +437,8 @@ let forward t (input : Smap.t) : Smap.t =
 
 (* Returns d(input feats) in this layer's scratch buffer (valid prefix =
    cached input size; valid until the next backward on this instance);
-   accumulates dW and db. *)
+   accumulates dW and db.  After a [~relu:true] forward, [dout]'s valid
+   prefix is masked in place: pass a buffer no caller keeps. *)
 let backward t (dout : float array) =
   let map =
     match t.cache_map with
@@ -356,6 +448,14 @@ let backward t (dout : float array) =
   if Array.length dout < t.cache_nsites_out * t.out_ch then
     invalid_arg "Sparse_conv.backward: dout size mismatch";
   let ci = t.in_ch and co = t.out_ch in
+  if t.cache_relu then begin
+    (* The forward's ReLU, undone: [out > 0] exactly where the
+       pre-activation was [> 0] (NaN and -0.0 included). *)
+    let out = t.scratch_out in
+    for k = 0 to (t.cache_nsites_out * co) - 1 do
+      if not (out.(k) > 0.0) then dout.(k) <- 0.0
+    done
+  end;
   t.scratch_din <- grown t.scratch_din t.cache_in_valid;
   let din = t.scratch_din in
   Array.fill din 0 t.cache_in_valid 0.0;

@@ -33,6 +33,7 @@ type t = {
   w : Param.t;  (** [ksize^2] x out_ch x in_ch *)
   b : Param.t;
   mutable cache_map : kernel_map option;
+  mutable cache_relu : bool;  (** the cached forward fused a ReLU *)
   mutable cache_in : float array;  (** grow-only; valid prefix below *)
   mutable cache_in_valid : int;
   mutable cache_nsites_out : int;
@@ -59,10 +60,25 @@ val build_map : ksize:int -> stride:int -> int array -> h:int -> w:int -> kernel
     Stride 1 is a sorted sweep, fastest on row-major-sorted coordinates (the
     COO order); strided maps probe only the stride lattice (DESIGN.md §9). *)
 
-val forward_with_map : t -> kernel_map -> Smap.t -> Smap.t
-(** Forward over a prebuilt kernel map (the cached-pyramid fast path).  The
-    result's [feats] is this instance's scratch buffer: valid until the next
-    forward on the same instance; copy to retain. *)
+val forward_into : t -> kernel_map -> src:float array -> dst:float array -> relu:bool -> unit
+(** The layer's one forward kernel, used by {!forward_with_map} and by the
+    inference VM (DESIGN.md §14): writes bias + the map's pair products for
+    the map's output sites into [dst] (site-major, [out_ch] per site), then
+    an optional ReLU.  [src] holds the input features, [in_ch] per site.
+    Accumulation order is fixed — bias first, kernel offsets ascending,
+    pairs ascending, one ascending inner-channel chain per pair — and the
+    1- and 6-channel fast paths keep it bit for bit.  Forward-only: no
+    caching, zero allocation; raises [Invalid_argument] if [dst] is too
+    short, the map has more offsets than the layer's kernel or malformed
+    segments, or a pair index falls outside [src] or the output sites. *)
+
+val forward_with_map : ?relu:bool -> t -> kernel_map -> Smap.t -> Smap.t
+(** Forward over a prebuilt kernel map (the cached-pyramid fast path):
+    {!forward_into} into this instance's scratch buffer, caching what
+    {!backward} needs.  With [relu] (default [false]) the ReLU is fused and
+    backward masks by this output.  The result's [feats] is the scratch
+    buffer: valid until the next forward on the same instance; copy to
+    retain. *)
 
 val forward : t -> Smap.t -> Smap.t
 (** Convenience: builds the map, then [forward_with_map]. *)
@@ -70,4 +86,7 @@ val forward : t -> Smap.t -> Smap.t
 val backward : t -> float array -> float array
 (** Accumulates dW, db from d(output feats); returns d(input feats) in this
     instance's scratch buffer (valid prefix = cached input size, valid until
-    the next backward on the same instance).  Requires a preceding forward. *)
+    the next backward on the same instance).  Requires a preceding forward.
+    After a [~relu:true] forward it first masks d(output)'s valid prefix in
+    place where the forward's output is not [> 0], so pass a buffer no
+    caller keeps. *)

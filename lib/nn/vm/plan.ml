@@ -2,19 +2,11 @@
 
    Compilation walks a model's layers once and emits fused instructions over
    arena buffer views; execution replays the tape with zero steady-state
-   allocation.  Bitwise identity with the eager layers is load-bearing (the
-   serve cache and golden artifacts depend on it) and rests on two rules:
-
-   - a fused ReLU runs only after an instruction's accumulation is complete
-     (max commutes with nothing inside a reduction);
-   - GEMM tiling covers batch rows only — every output cell remains a single
-     ascending-order accumulation chain seeded with the bias, exactly
-     [Linear.forward]'s; the reduction dimension is never split.
-
-   Conv execution reproduces [Sparse_conv.forward_with_map]'s order exactly:
-   bias init over all sites first, then kernel offsets ascending, pairs
-   ascending within each offset segment, and per pair one ascending
-   inner-channel accumulation added to the output site. *)
+   allocation.  The plan only schedules: each instruction hands arena views
+   to its layer's one forward kernel ([Linear.forward_into],
+   [Sparse_conv.forward_into], [Pool.forward_into]) — the kernels the
+   training forwards call too — so plan and eager results are bitwise equal
+   by construction, with no arithmetic here to keep in sync. *)
 
 type view = { buf : int; off : int; stride : int }
 
@@ -140,127 +132,17 @@ let exec_gemm t ~batch (lin : Nn.Linear.t) ~(src : view) ~(dst : view) ~relu =
 
 let exec_conv t (c : Nn.Sparse_conv.t) ~layer ~src ~dst ~relu =
   let map = t.maps.(layer) in
-  let n_out = Array.length map.Nn.Sparse_conv.out_coords in
-  let ci = c.Nn.Sparse_conv.in_ch and co = c.Nn.Sparse_conv.out_ch in
-  Arena.ensure t.arena dst (n_out * co);
-  let out = Arena.get t.arena dst in
-  let inf = if src < 0 then t.input_feats else Arena.get t.arena src in
-  let w = c.Nn.Sparse_conv.w.Nn.Param.data and bias = c.Nn.Sparse_conv.b.Nn.Param.data in
-  (* Bind-time trust boundary: the pyramid builder guarantees pair indices
-     are in range; one explicit check keeps the unsafe loops honest. *)
-  let np = Nn.Sparse_conv.map_npairs map in
-  if np > 0 then begin
-    let max_in = ref 0 and max_out = ref 0 in
-    for p = 0 to np - 1 do
-      let i = Array.unsafe_get map.Nn.Sparse_conv.pairs_in p
-      and o = Array.unsafe_get map.Nn.Sparse_conv.pairs_out p in
-      if i > !max_in then max_in := i;
-      if o > !max_out then max_out := o
-    done;
-    if ((!max_in + 1) * ci) > Array.length inf || !max_out >= n_out then
-      invalid_arg "Vm.Plan: conv binding out of range"
-  end;
-  for s = 0 to n_out - 1 do
-    let sb = s * co in
-    for o = 0 to co - 1 do
-      Array.unsafe_set out (sb + o) (Array.unsafe_get bias o)
-    done
-  done;
-  let ostart = map.Nn.Sparse_conv.off_start in
-  let pin = map.Nn.Sparse_conv.pairs_in and pout = map.Nn.Sparse_conv.pairs_out in
-  let nk = Array.length ostart - 1 in
-  if ci = 1 then
-    (* Single input channel (WACONet's first conv): the per-pair reduction is
-       one product.  [0.0 +.] preserves the eager accumulator's first step
-       bit-for-bit (sign of zero included). *)
-    for off = 0 to nk - 1 do
-      let wb = off * co in
-      for p = Array.unsafe_get ostart off to Array.unsafe_get ostart (off + 1) - 1 do
-        let x = Array.unsafe_get inf (Array.unsafe_get pin p) in
-        let ob = Array.unsafe_get pout p * co in
-        for o = 0 to co - 1 do
-          Array.unsafe_set out (ob + o)
-            (Array.unsafe_get out (ob + o) +. (0.0 +. (Array.unsafe_get w (wb + o) *. x)))
-        done
-      done
-    done
-  else if ci = 6 then
-    (* Six input channels (WACONet's stacked convs): hoist the input loads
-       out of the output-channel loop — the generic path reloads all [ci]
-       inputs per output channel — and unroll the reduction.  The explicit
-       left-to-right chain seeded with [0.0 +.] is the eager accumulator's
-       exact float-op sequence. *)
-    for off = 0 to nk - 1 do
-      let wbase = off * co * 6 in
-      for p = Array.unsafe_get ostart off to Array.unsafe_get ostart (off + 1) - 1 do
-        let ib = Array.unsafe_get pin p * 6 in
-        let ob = Array.unsafe_get pout p * co in
-        let x0 = Array.unsafe_get inf ib
-        and x1 = Array.unsafe_get inf (ib + 1)
-        and x2 = Array.unsafe_get inf (ib + 2)
-        and x3 = Array.unsafe_get inf (ib + 3)
-        and x4 = Array.unsafe_get inf (ib + 4)
-        and x5 = Array.unsafe_get inf (ib + 5) in
-        for o = 0 to co - 1 do
-          let wrow = wbase + (o * 6) in
-          let acc =
-            0.0
-            +. (Array.unsafe_get w wrow *. x0)
-            +. (Array.unsafe_get w (wrow + 1) *. x1)
-            +. (Array.unsafe_get w (wrow + 2) *. x2)
-            +. (Array.unsafe_get w (wrow + 3) *. x3)
-            +. (Array.unsafe_get w (wrow + 4) *. x4)
-            +. (Array.unsafe_get w (wrow + 5) *. x5)
-          in
-          Array.unsafe_set out (ob + o) (Array.unsafe_get out (ob + o) +. acc)
-        done
-      done
-    done
-  else
-    for off = 0 to nk - 1 do
-      let wbase = off * co * ci in
-      for p = Array.unsafe_get ostart off to Array.unsafe_get ostart (off + 1) - 1 do
-        let ib = Array.unsafe_get pin p * ci in
-        let ob = Array.unsafe_get pout p * co in
-        for o = 0 to co - 1 do
-          let wrow = wbase + (o * ci) in
-          let acc = ref 0.0 in
-          for i = 0 to ci - 1 do
-            acc := !acc +. (Array.unsafe_get w (wrow + i) *. Array.unsafe_get inf (ib + i))
-          done;
-          Array.unsafe_set out (ob + o) (Array.unsafe_get out (ob + o) +. !acc)
-        done
-      done
-    done;
-  if relu then
-    for k = 0 to (n_out * co) - 1 do
-      if not (Array.unsafe_get out k > 0.0) then Array.unsafe_set out k 0.0
-    done
+  Arena.ensure t.arena dst (Array.length map.Nn.Sparse_conv.out_coords * c.Nn.Sparse_conv.out_ch);
+  Nn.Sparse_conv.forward_into c map
+    ~src:(if src < 0 then t.input_feats else Arena.get t.arena src)
+    ~dst:(Arena.get t.arena dst) ~relu
 
+(* A short pool row means [begin_batch] did not size the view. *)
 let exec_pool t ~src ~channels ~layer ~(dst : view) =
-  let n = Array.length t.maps.(layer).Nn.Sparse_conv.out_coords in
-  let feats = Arena.get t.arena src in
-  let out = Arena.get t.arena dst.buf in
-  let base = dst.off + (t.item * dst.stride) in
-  if base + channels > Array.length out then
-    invalid_arg "Vm.Plan: pool row out of bounds (begin_batch missing?)";
-  if n * channels > Array.length feats then invalid_arg "Vm.Plan: pool source too short";
-  for ch = 0 to channels - 1 do
-    Array.unsafe_set out (base + ch) 0.0
-  done;
-  if n > 0 then begin
-    for s = 0 to n - 1 do
-      let sb = s * channels in
-      for ch = 0 to channels - 1 do
-        Array.unsafe_set out (base + ch)
-          (Array.unsafe_get out (base + ch) +. Array.unsafe_get feats (sb + ch))
-      done
-    done;
-    let scale = 1.0 /. float_of_int n in
-    for ch = 0 to channels - 1 do
-      Array.unsafe_set out (base + ch) (Array.unsafe_get out (base + ch) *. scale)
-    done
-  end
+  Nn.Pool.forward_into
+    ~nsites:(Array.length t.maps.(layer).Nn.Sparse_conv.out_coords)
+    ~channels ~src:(Arena.get t.arena src) ~dst:(Arena.get t.arena dst.buf)
+    ~dst_off:(dst.off + (t.item * dst.stride))
 
 let exec t ~batch instrs =
   for k = 0 to Array.length instrs - 1 do

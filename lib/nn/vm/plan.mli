@@ -1,25 +1,24 @@
 (** Compile-once/execute-many inference plans (DESIGN.md §14).
 
     A plan is a topologically ordered instruction tape compiled once from a
-    model's layers and executed many times over batches of inputs.  Three
-    instruction kinds cover the extractor→embedder→MLP hot path:
+    model's layers and executed many times over batches of inputs.  The
+    plan schedules and the layers compute: each instruction binds arena
+    views and calls its layer's one forward kernel — the same kernel the
+    training forward calls — so plan results are bitwise-equal to the eager
+    layers by construction (pinned by test/test_vm.ml).  Three instruction
+    kinds cover the extractor→embedder→MLP hot path:
 
-    - [Gemm]: one blocked (row-tiled) batched GEMM per {!Nn.Linear} layer,
-      with the bias add and an optional trailing ReLU fused in.  Source and
-      destination are strided row views, so producers write straight into a
-      consumer's input matrix (e.g. embedder tables into columns of the
-      concat buffer) instead of copying.
-    - [Conv]: one {!Nn.Sparse_conv} layer over a per-item kernel-map
+    - [Gemm]: {!Nn.Linear.forward_into} per linear layer — a blocked
+      (row-tiled) batched GEMM with the bias add and an optional trailing
+      ReLU fused in.  Source and destination are strided row views, so
+      producers write straight into a consumer's input matrix (e.g.
+      embedder tables into columns of the concat buffer) instead of
+      copying.
+    - [Conv]: {!Nn.Sparse_conv.forward_into} over a per-item kernel-map
       binding, ReLU fused, executed once per batch element.
-    - [Pool]: global average pooling of a conv output into one row slice of
-      a batch matrix (the fused pool+concat of WACONet).
-
-    Fusion legality: ReLU commutes with nothing inside a reduction, so it is
-    fused only {e after} an instruction's accumulation completes, and GEMM
-    tiling never splits the reduction dimension — each output cell is still
-    one ascending-order accumulation chain starting from the bias.  Forward
-    results are therefore bitwise-equal to the eager layers (pinned by
-    test/test_vm.ml).
+    - [Pool]: {!Nn.Pool.forward_into}, global average pooling of a conv
+      output into one row slice of a batch matrix (the fused pool+concat
+      of WACONet).
 
     All intermediate values live in a grow-only {!Arena}; steady-state
     execution allocates zero bytes.  Plans are forward-only and, like eager

@@ -53,6 +53,15 @@ if grep -rnE 'Tuner\.query([^_]|$)|map_workers|Costmodel\.replicate' lib/serve 2
   status=1
 fi
 
+# The plan schedules and the layers compute (DESIGN.md §14): the VM binds
+# arena views and calls each layer's one forward kernel, so no float
+# arithmetic lives under lib/nn/vm — a second copy of a layer's math there
+# would be kept bitwise-equal to training by nothing but the parity tests.
+if grep -nE '[-+*/]\.' lib/nn/vm/*.ml; then
+  echo "lint.sh: float arithmetic in lib/nn/vm (move it into the layer's forward_into)" >&2
+  status=1
+fi
+
 # The bench harness refuses an unknown target with exit 2 before running
 # anything, so a typo in a target name cannot pass as a green run.
 rc=0

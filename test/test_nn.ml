@@ -91,12 +91,20 @@ let test_mlp_gradcheck () =
   let bad = gradcheck ~loss_of ~params:(Nn.Mlp.params m) ~entries_per_param:6 ~tolerance:1e-2 in
   Alcotest.(check bool) "almost no bad grads" true (List.length bad <= 1)
 
+(* ReLU is fused into the layer's forward; backward masks d(output) by the
+   layer's own output, which is [> 0] exactly where the pre-activation is. *)
 let test_relu_mask () =
-  let act = Nn.Act.relu_create () in
-  let out = Nn.Act.relu_forward act [| -1.0; 2.0; 0.0; 3.0 |] in
-  Alcotest.(check (array (float 1e-12))) "relu fwd" [| 0.0; 2.0; 0.0; 3.0 |] out;
-  let din = Nn.Act.relu_backward act [| 1.0; 1.0; 1.0; 1.0 |] in
-  Alcotest.(check (array (float 1e-12))) "relu bwd" [| 0.0; 1.0; 0.0; 1.0 |] din
+  let l = Nn.Linear.create (rng ()) ~name:"r" ~in_dim:1 ~out_dim:1 in
+  l.Nn.Linear.w.Nn.Param.data.(0) <- 1.0;
+  (* a -0.0 bias keeps the -0.0 input's pre-activation -0.0 *)
+  l.Nn.Linear.b.Nn.Param.data.(0) <- -0.0;
+  let x = [| -1.0; 2.0; 0.0; 3.0; Float.nan; -0.0 |] in
+  let out = Nn.Linear.forward ~relu:true l ~batch:6 x in
+  Alcotest.(check (array (float 1e-12))) "relu fwd" [| 0.0; 2.0; 0.0; 3.0; 0.0; 0.0 |] out;
+  let din = Nn.Linear.backward l (Array.make 6 1.0) in
+  Alcotest.(check (array (float 1e-12)))
+    "relu bwd" [| 0.0; 1.0; 0.0; 1.0; 0.0; 0.0 |] (Array.sub din 0 6);
+  Alcotest.(check (float 1e-12)) "masked db" 2.0 l.Nn.Linear.b.Nn.Param.grad.(0)
 
 let test_adam_decreases_loss () =
   let r = rng () in
@@ -148,6 +156,35 @@ let test_sparse_conv_neighbors () =
      and each other (diagonal adjacency of (1,2)-(2,1)) *)
   Alcotest.(check (array (float 1e-12))) "neighbour sums" [| 3.0; 3.0; 3.0 |]
     out.Nn.Smap.feats
+
+(* The kernel's loops are unchecked: a map that does not fit the layer or
+   its source must be refused before any of them runs. *)
+let test_sparse_conv_rejects_bad_map () =
+  let conv = Nn.Sparse_conv.create (rng ()) ~name:"c" ~in_ch:2 ~out_ch:1 ~ksize:3 ~stride:1 in
+  let map =
+    Nn.Sparse_conv.build_map ~ksize:3 ~stride:1 [| 0; 5; 6 |] ~h:4 ~w:4
+  in
+  let src = Array.make 6 1.0 and dst = Array.make 3 0.0 in
+  Nn.Sparse_conv.forward_into conv map ~src ~dst ~relu:false;
+  let rejects what m src =
+    match Nn.Sparse_conv.forward_into conv m ~src ~dst ~relu:false with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let pin = map.Nn.Sparse_conv.pairs_in in
+  rejects "short src" map (Array.make 5 1.0);
+  rejects "negative index"
+    { map with pairs_in = Array.mapi (fun i v -> if i = 0 then -1 else v) pin }
+    src;
+  rejects "5x5 map on a 3x3 layer"
+    (Nn.Sparse_conv.build_map ~ksize:5 ~stride:1 [| 0; 5; 6 |] ~h:4 ~w:4)
+    src;
+  rejects "segment past the pairs"
+    {
+      map with
+      off_start = Array.map (fun v -> if v = Array.length pin then v + 1 else v) map.off_start;
+    }
+    src
 
 let test_sparse_conv_stride2_sites () =
   let r = rng () in
@@ -271,6 +308,7 @@ let () =
           Alcotest.test_case "identity kernel" `Quick test_sparse_conv_identity_kernel;
           Alcotest.test_case "neighbour sums" `Quick test_sparse_conv_neighbors;
           Alcotest.test_case "stride-2 sites" `Quick test_sparse_conv_stride2_sites;
+          Alcotest.test_case "rejects a bad map" `Quick test_sparse_conv_rejects_bad_map;
           Alcotest.test_case "deep gradcheck" `Quick test_sparse_conv_gradcheck_deep;
           Alcotest.test_case "caller mutates input" `Quick
             test_sparse_conv_caller_mutates_input;

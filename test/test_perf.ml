@@ -170,53 +170,63 @@ let test_pyramid_parity () =
 
 (* --- forward/backward parity: scratch implementation vs reference --- *)
 
+(* Every branch of the one conv kernel — the 1- and 6-channel fast paths
+   and the generic loop — on submanifold and strided maps. *)
 let test_conv_numeric_parity () =
   let r = rng () in
   let h = 32 and w = 32 in
   let pairs = random_pattern r ~h ~w ~n:120 in
   let n = Array.length pairs in
-  let ch = 4 in
-  let conv = Nn.Sparse_conv.create r ~name:"p" ~in_ch:ch ~out_ch:ch ~ksize:3 ~stride:2 in
-  let feats = Array.init (n * ch) (fun _ -> Rng.float_in r (-1.0) 1.0) in
-  let input = Nn.Smap.of_pairs ~h ~w ~channels:ch pairs feats in
-  let out = Nn.Sparse_conv.forward conv input in
-  let refm = Nn.Sparse_conv_ref.build_map ~ksize:3 ~stride:2 pairs ~h ~w in
-  let ref_out =
-    Nn.Sparse_conv_ref.forward_feats refm ~in_ch:ch ~out_ch:ch
-      ~w:conv.Nn.Sparse_conv.w.Nn.Param.data ~b:conv.Nn.Sparse_conv.b.Nn.Param.data
-      feats
-  in
-  let n_out = Nn.Smap.nsites out in
-  Alcotest.(check int) "site count" (Array.length refm.Nn.Sparse_conv_ref.out_coords) n_out;
-  for i = 0 to (n_out * ch) - 1 do
-    if out.Nn.Smap.feats.(i) <> ref_out.(i) then
-      Alcotest.failf "forward feat %d: flat %.17g vs ref %.17g" i
-        out.Nn.Smap.feats.(i) ref_out.(i)
-  done;
-  (* backward: same dW/db/din bit for bit *)
-  let dout = Array.init (n_out * ch) (fun _ -> Rng.float_in r (-1.0) 1.0) in
-  let din = Nn.Sparse_conv.backward conv dout in
-  let wgrad = Array.make (Array.length conv.Nn.Sparse_conv.w.Nn.Param.data) 0.0 in
-  let bgrad = Array.make ch 0.0 in
-  let ref_din =
-    Nn.Sparse_conv_ref.backward_feats refm ~in_ch:ch ~out_ch:ch
-      ~w:conv.Nn.Sparse_conv.w.Nn.Param.data ~wgrad ~bgrad ~input_feats:feats
-      ~nsites_in:n dout
-  in
-  for i = 0 to (n * ch) - 1 do
-    if din.(i) <> ref_din.(i) then
-      Alcotest.failf "din %d: flat %.17g vs ref %.17g" i din.(i) ref_din.(i)
-  done;
-  Array.iteri
-    (fun i g ->
-      if g <> conv.Nn.Sparse_conv.w.Nn.Param.grad.(i) then
-        Alcotest.failf "wgrad %d diverges" i)
-    wgrad;
-  Array.iteri
-    (fun i g ->
-      if g <> conv.Nn.Sparse_conv.b.Nn.Param.grad.(i) then
-        Alcotest.failf "bgrad %d diverges" i)
-    bgrad
+  let co = 5 in
+  List.iter
+    (fun (ci, stride) ->
+      let what = Printf.sprintf "in_ch %d stride %d" ci stride in
+      let conv = Nn.Sparse_conv.create r ~name:"p" ~in_ch:ci ~out_ch:co ~ksize:3 ~stride in
+      let feats = Array.init (n * ci) (fun _ -> Rng.float_in r (-1.0) 1.0) in
+      let input = Nn.Smap.of_pairs ~h ~w ~channels:ci pairs feats in
+      let out = Nn.Sparse_conv.forward conv input in
+      let refm = Nn.Sparse_conv_ref.build_map ~ksize:3 ~stride pairs ~h ~w in
+      let ref_out =
+        Nn.Sparse_conv_ref.forward_feats refm ~in_ch:ci ~out_ch:co
+          ~w:conv.Nn.Sparse_conv.w.Nn.Param.data ~b:conv.Nn.Sparse_conv.b.Nn.Param.data
+          feats
+      in
+      let n_out = Nn.Smap.nsites out in
+      Alcotest.(check int)
+        (what ^ ": site count")
+        (Array.length refm.Nn.Sparse_conv_ref.out_coords)
+        n_out;
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      for i = 0 to (n_out * co) - 1 do
+        if not (same out.Nn.Smap.feats.(i) ref_out.(i)) then
+          Alcotest.failf "%s: forward feat %d: flat %.17g vs ref %.17g" what i
+            out.Nn.Smap.feats.(i) ref_out.(i)
+      done;
+      (* backward: same dW/db/din bit for bit *)
+      let dout = Array.init (n_out * co) (fun _ -> Rng.float_in r (-1.0) 1.0) in
+      let din = Nn.Sparse_conv.backward conv dout in
+      let wgrad = Array.make (Array.length conv.Nn.Sparse_conv.w.Nn.Param.data) 0.0 in
+      let bgrad = Array.make co 0.0 in
+      let ref_din =
+        Nn.Sparse_conv_ref.backward_feats refm ~in_ch:ci ~out_ch:co
+          ~w:conv.Nn.Sparse_conv.w.Nn.Param.data ~wgrad ~bgrad ~input_feats:feats
+          ~nsites_in:n dout
+      in
+      for i = 0 to (n * ci) - 1 do
+        if not (same din.(i) ref_din.(i)) then
+          Alcotest.failf "%s: din %d: flat %.17g vs ref %.17g" what i din.(i) ref_din.(i)
+      done;
+      Array.iteri
+        (fun i g ->
+          if not (same g conv.Nn.Sparse_conv.w.Nn.Param.grad.(i)) then
+            Alcotest.failf "%s: wgrad %d diverges" what i)
+        wgrad;
+      Array.iteri
+        (fun i g ->
+          if not (same g conv.Nn.Sparse_conv.b.Nn.Param.grad.(i)) then
+            Alcotest.failf "%s: bgrad %d diverges" what i)
+        bgrad)
+    [ (1, 1); (1, 2); (4, 1); (4, 2); (6, 1); (6, 2) ]
 
 (* --- gradchecks through reused scratch buffers --- *)
 
