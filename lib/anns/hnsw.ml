@@ -61,22 +61,66 @@ let l2 a b =
 
 let dist t i q = l2 t.nodes.(i).vec q
 
-(* Greedy beam search restricted to one level; returns up to [ef] closest
-   (dist, id) pairs.  [distance] abstracts the metric so the same routine
-   serves both the L2 build and the generic-score query. *)
-let search_layer t ~distance ~entry_points ~ef ~level =
+(* Every walk below scores nodes in batches: [score ids] returns the
+   measure of each [ids.(j)] in slot [j] (extra slots are ignored).  A
+   score is a function of its node alone, so scoring a node list together
+   and then processing it in order makes the same decisions as scoring
+   each node when it is reached. *)
+let l2_scores t q ids = Array.map (fun i -> dist t i q) ids
+
+let neighbors_at t id level =
+  if level <= t.nodes.(id).level then t.nodes.(id).neighbors.(level) else []
+
+(* Greedy descent from [ep] through levels [from_level] down to
+   [to_level]: move to the best-scoring neighbour of the current point
+   until none improves, then drop a level.  Each pass scores the current
+   point's whole adjacency list in one batch.  Returns the final point. *)
+let descend t ~score ~ep ~from_level ~to_level =
+  let ep = ref ep in
+  let ep_d = ref (score [| !ep |]).(0) in
+  for l = from_level downto to_level do
+    let improved = ref true in
+    while !improved do
+      improved := false;
+      let nbs = Array.of_list (neighbors_at t !ep l) in
+      let ds = score nbs in
+      Array.iteri
+        (fun j nb ->
+          let nd = ds.(j) in
+          if nd < !ep_d then begin
+            ep := nb;
+            ep_d := nd;
+            improved := true
+          end)
+        nbs
+    done
+  done;
+  !ep
+
+(* Greedy beam search restricted to one level; returns up to [ef] best
+   (score, id) pairs, ascending.  [score] abstracts the metric so the same
+   routine serves both the L2 build and the generic-score query; an
+   expanded node's unvisited neighbours are scored in one batch. *)
+let search_layer t ~score ~entry_points ~ef ~level =
   let visited = Hashtbl.create 64 in
-  let candidates = Heap.create () in (* min-heap by distance *)
-  let results = Heap.create () in (* min-heap by -distance = max-heap *)
-  List.iter
-    (fun ep ->
-      if not (Hashtbl.mem visited ep) then begin
-        Hashtbl.add visited ep ();
-        let d = distance ep in
-        Heap.push candidates d ep;
-        Heap.push results (-.d) ep
-      end)
-    entry_points;
+  let candidates = Heap.create () in (* min-heap by score *)
+  let results = Heap.create () in (* min-heap by -score = max-heap *)
+  let unvisited ids =
+    List.filter
+      (fun id ->
+        let fresh = not (Hashtbl.mem visited id) in
+        if fresh then Hashtbl.add visited id ();
+        fresh)
+      ids
+    |> Array.of_list
+  in
+  let eps = unvisited entry_points in
+  let ds = score eps in
+  Array.iteri
+    (fun j ep ->
+      Heap.push candidates ds.(j) ep;
+      Heap.push results (-.ds.(j)) ep)
+    eps;
   let continue = ref true in
   while !continue do
     match Heap.pop candidates with
@@ -84,22 +128,22 @@ let search_layer t ~distance ~entry_points ~ef ~level =
     | Some (dc, c) ->
         let worst = match Heap.peek results with Some (nd, _) -> -.nd | None -> infinity in
         if dc > worst && Heap.size results >= ef then continue := false
-        else
-          List.iter
-            (fun nb ->
-              if not (Hashtbl.mem visited nb) then begin
-                Hashtbl.add visited nb ();
-                let d = distance nb in
-                let worst =
-                  match Heap.peek results with Some (nd, _) -> -.nd | None -> infinity
-                in
-                if Heap.size results < ef || d < worst then begin
-                  Heap.push candidates d nb;
-                  Heap.push results (-.d) nb;
-                  if Heap.size results > ef then ignore (Heap.pop results)
-                end
+        else begin
+          let nbs = unvisited (neighbors_at t c level) in
+          let ds = score nbs in
+          Array.iteri
+            (fun j nb ->
+              let d = ds.(j) in
+              let worst =
+                match Heap.peek results with Some (nd, _) -> -.nd | None -> infinity
+              in
+              if Heap.size results < ef || d < worst then begin
+                Heap.push candidates d nb;
+                Heap.push results (-.d) nb;
+                if Heap.size results > ef then ignore (Heap.pop results)
               end)
-            (if level <= t.nodes.(c).level then t.nodes.(c).neighbors.(level) else [])
+            nbs
+        end
   done;
   Heap.to_list results |> List.map (fun (nd, id) -> (-.nd, id))
   |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
@@ -167,33 +211,13 @@ let insert t vec payload =
     t.max_level <- level
   end
   else begin
-    let distance i = dist t i vec in
-    (* Greedy descent through levels above the node's level.  The current
-       best's distance is cached and each neighbour evaluated once — the old
-       [distance nb < distance !ep] comparison re-evaluated both sides per
-       neighbour, doubling distance work on the descent. *)
-    let ep = ref t.entry in
-    let ep_d = ref (distance !ep) in
-    for l = t.max_level downto level + 1 do
-      let improved = ref true in
-      while !improved do
-        improved := false;
-        List.iter
-          (fun nb ->
-            let nd = distance nb in
-            if nd < !ep_d then begin
-              ep := nb;
-              ep_d := nd;
-              improved := true
-            end)
-          (if l <= t.nodes.(!ep).level then t.nodes.(!ep).neighbors.(l) else [])
-      done
-    done;
+    let score = l2_scores t vec in
+    let ep = descend t ~score ~ep:t.entry ~from_level:t.max_level ~to_level:(level + 1) in
     (* Connect on each level from min(level, max_level) down to 0. *)
-    let eps = ref [ !ep ] in
+    let eps = ref [ ep ] in
     for l = min level t.max_level downto 0 do
       let found =
-        search_layer t ~distance ~entry_points:!eps ~ef:t.ef_construction ~level:l
+        search_layer t ~score ~entry_points:!eps ~ef:t.ef_construction ~level:l
       in
       let selected = select_heuristic t ~candidates:found ~m:(max_degree t l) in
       node.neighbors.(l) <- selected;
@@ -210,74 +234,44 @@ let insert t vec payload =
     end
   end
 
-(* Exact k-NN under L2 against a query vector. *)
+(* Greedy descent to level 0, then a beam of [max ef k] there. *)
+let walk t ~score ~k ~ef =
+  let ep = descend t ~score ~ep:t.entry ~from_level:t.max_level ~to_level:1 in
+  let found = search_layer t ~score ~entry_points:[ ep ] ~ef:(max ef k) ~level:0 in
+  List.filteri (fun i _ -> i < k) found
+
+(* Approximate k-NN under L2 against a query vector. *)
 let search t ~query ~k ?(ef = 50) () =
-  if t.count = 0 then []
-  else begin
-    let distance i = dist t i query in
-    (* Greedy descent with the current best's distance cached (one distance
-       evaluation per neighbour instead of two). *)
-    let ep = ref t.entry in
-    let ep_d = ref (distance !ep) in
-    for l = t.max_level downto 1 do
-      let improved = ref true in
-      while !improved do
-        improved := false;
-        List.iter
-          (fun nb ->
-            let nd = distance nb in
-            if nd < !ep_d then begin
-              ep := nb;
-              ep_d := nd;
-              improved := true
-            end)
-          (if l <= t.nodes.(!ep).level then t.nodes.(!ep).neighbors.(l) else [])
-      done
-    done;
-    let found =
-      search_layer t ~distance ~entry_points:[ !ep ] ~ef:(max ef k) ~level:0
-    in
-    List.filteri (fun i _ -> i < k) found
-  end
+  if t.count = 0 then [] else walk t ~score:(l2_scores t query) ~k ~ef
 
 (* Generic-measure search: traverse the L2-built graph minimizing an arbitrary
-   [score] over payload ids — WACO's ANNS over the predicted runtime.  Returns
-   the top-k (score, id) pairs and the number of score evaluations spent. *)
-let search_by t ~score ~k ?(ef = 50) () =
+   score over node ids — WACO's ANNS over the predicted runtime.  Scores are
+   memoized per query and only unscored ids reach [score_batch], one call per
+   batch; returns the top-k (score, id) pairs and the number of ids scored. *)
+let search_by t ~score_batch ~k ?(ef = 50) () =
   if t.count = 0 then ([], 0)
   else begin
     let evals = ref 0 in
-    let cache = Hashtbl.create 256 in
-    let distance i =
-      match Hashtbl.find_opt cache i with
-      | Some d -> d
-      | None ->
-          incr evals;
-          let d = score i in
-          Hashtbl.add cache i d;
-          d
+    let memo = Hashtbl.create 256 in
+    let score ids =
+      let fresh =
+        List.filter
+          (fun id ->
+            let miss = not (Hashtbl.mem memo id) in
+            if miss then Hashtbl.add memo id nan;
+            miss)
+          (Array.to_list ids)
+        |> Array.of_list
+      in
+      if fresh <> [||] then begin
+        let ds = score_batch fresh in
+        Array.iteri (fun j id -> Hashtbl.replace memo id ds.(j)) fresh;
+        evals := !evals + Array.length fresh
+      end;
+      Array.map (Hashtbl.find memo) ids
     in
-    let ep = ref t.entry in
-    let ep_d = ref (distance !ep) in
-    for l = t.max_level downto 1 do
-      let improved = ref true in
-      while !improved do
-        improved := false;
-        List.iter
-          (fun nb ->
-            let nd = distance nb in
-            if nd < !ep_d then begin
-              ep := nb;
-              ep_d := nd;
-              improved := true
-            end)
-          (if l <= t.nodes.(!ep).level then t.nodes.(!ep).neighbors.(l) else [])
-      done
-    done;
-    let found =
-      search_layer t ~distance ~entry_points:[ !ep ] ~ef:(max ef k) ~level:0
-    in
-    (List.filteri (fun i _ -> i < k) found, !evals)
+    let found = walk t ~score ~k ~ef in
+    (found, !evals)
   end
 
 (* --- Snapshots ---

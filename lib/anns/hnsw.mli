@@ -44,11 +44,16 @@ val search : 'a t -> query:float array -> k:int -> ?ef:int -> unit -> (float * i
 (** Approximate k-NN under L2: [(distance, node id)] pairs sorted ascending. *)
 
 val search_by :
-  'a t -> score:(int -> float) -> k:int -> ?ef:int -> unit ->
+  'a t -> score_batch:(int array -> float array) -> k:int -> ?ef:int -> unit ->
   (float * int) list * int
-(** Generic-measure search: greedy traversal minimizing [score] over node
-    ids.  Returns the top-k [(score, id)] pairs and the number of score
-    evaluations spent (scores are cached per query). *)
+(** Generic-measure search: greedy traversal minimizing a score over node
+    ids.  [score_batch ids] returns the score of [ids.(j)] in slot [j]
+    (longer results are fine; only the first [Array.length ids] slots are
+    read).  Scores are memoized per query, and each expanded node's
+    unscored neighbours reach [score_batch] in one call, so the walk, its
+    result and its evaluation count are those of scoring one node at a
+    time.  Returns the top-k [(score, id)] pairs and the number of ids
+    scored. *)
 
 val brute_force : 'a t -> query:float array -> k:int -> (float * int) list
 (** Exact k-NN by linear scan — for recall measurements in tests. *)

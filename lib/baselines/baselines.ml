@@ -152,30 +152,28 @@ let aspt ?(panel = 256) ?(threshold = 8) machine wl algo =
   let dims = wl.Workload.dims in
   (* Count nonzeros per (row, panel) segment. *)
   let npanels = (dims.(1) + panel - 1) / panel in
+  let rows = wl.Workload.coords.(0) and cols = wl.Workload.coords.(1) in
+  let seg_key e = (rows.(e) * npanels) + (cols.(e) / panel) in
   let seg_count = Hashtbl.create 1024 in
-  Array.iter
-    (fun (coords, _) ->
-      let key = (coords.(0) * npanels) + (coords.(1) / panel) in
-      Hashtbl.replace seg_count key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt seg_count key)))
-    wl.Workload.entries;
-  let dense_entries = ref [] and sparse_entries = ref [] in
-  Array.iter
-    (fun ((coords, v) as e) ->
-      let key = (coords.(0) * npanels) + (coords.(1) / panel) in
-      if Hashtbl.find seg_count key >= threshold then dense_entries := e :: !dense_entries
-      else sparse_entries := e :: !sparse_entries;
-      ignore v)
-    wl.Workload.entries;
-  let part name entries =
-    if entries = [] then None
-    else
-      Some
-        (Workload.build ~id:(wl.Workload.id ^ name) ~dims
-           ~entries:(Array.of_list entries))
+  for e = 0 to wl.Workload.nnz - 1 do
+    let key = seg_key e in
+    Hashtbl.replace seg_count key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt seg_count key))
+  done;
+  let dense e = Hashtbl.find seg_count (seg_key e) >= threshold in
+  let part name keep =
+    match List.filter (fun e -> dense e = keep) (List.init wl.Workload.nnz Fun.id) with
+    | [] -> None
+    | idx ->
+        let idx = Array.of_list idx in
+        let pick a = Array.map (Array.get a) idx in
+        Some
+          (Workload.build ~id:(wl.Workload.id ^ name) ~dims
+             ~coords:(Array.map pick wl.Workload.coords) ~vals:(pick wl.Workload.vals))
   in
-  let tiled = part ".aspt-tiled" !dense_entries in
-  let rest = part ".aspt-rest" !sparse_entries in
+  let nnz_of = function None -> 0 | Some w -> w.Workload.nnz in
+  let tiled = part ".aspt-tiled" true in
+  let rest = part ".aspt-rest" false in
   (* Tiled portion: panel-major traversal = sparse-block format over the
      column panels (the locality ASpT's reordering buys); remainder: CSR. *)
   let tiled_schedule =
@@ -205,6 +203,6 @@ let aspt ?(panel = 256) ?(threshold = 8) machine wl algo =
       (let n = float_of_int wl.Workload.nnz in
        8.0 *. n *. log (Float.max 2.0 n) /. machine.Machine.freq_hz);
     description =
-      Printf.sprintf "panels=%d tiled_nnz=%d rest_nnz=%d" panel
-        (List.length !dense_entries) (List.length !sparse_entries);
+      Printf.sprintf "panels=%d tiled_nnz=%d rest_nnz=%d" panel (nnz_of tiled)
+        (nnz_of rest);
   }

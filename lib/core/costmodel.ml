@@ -11,18 +11,16 @@ open Schedule
    share the instance's parameter arrays (in-place optimizer updates stay
    visible) but own their arenas — single-domain, like eager scratch.
 
-   [c_last_feature]/[c_last_kernel] memoize the static two-thirds of the
-   tail's single input row (physical equality on the feature): an HNSW
-   traversal calls the tail thousands of times per query with the feature
-   fixed and only the embedding changing. *)
+   The predictor's plan is its tail: the first layer reads only the
+   embedding and kernel one-hot columns of each row, seeded with the
+   feature columns' partial sums ([tail_scorer]'s per-query prefix). *)
 type compiled = {
   c_ext : Extractor.compiled;
   c_emb : Embedder.compiled;
-  c_tail : Vm.Plan.t; (* predictor over built rows *)
+  c_tail : Vm.Plan.t; (* predictor over [emb; one-hot] rows, seeded *)
   c_rows : int; (* the tail plan's input-row buffer *)
+  c_seed : int; (* the tail plan's first-layer seed: the query's prefix *)
   c_one_hots : float array array; (* indexed by Kernel.index *)
-  mutable c_last_feature : float array;
-  mutable c_last_kernel : int;
 }
 
 type t = {
@@ -129,16 +127,20 @@ let forward_train ?kernel t (input : Extractor.input)
    keys and index builds are unchanged.  Training stays on the eager path
    ([forward_train]) because backward needs the layers' forward caches. *)
 
+(* Width of a tail row: the columns after the feature. *)
+let tail_width = row_dim - Config.feature_dim
+
 let compile t =
   match t.vm with
   | Some c -> c
   | None ->
       let b = Vm.Plan.builder () in
       let rows = Vm.Plan.fresh b in
+      let seed = Vm.Plan.fresh b in
       let out = Vm.Plan.fresh b in
       let outv = { Vm.Plan.buf = out; off = 0; stride = 1 } in
-      Vm.Plan.mlp b t.predictor
-        ~src:{ Vm.Plan.buf = rows; off = 0; stride = row_dim }
+      Vm.Plan.mlp b t.predictor ~cols:(Config.feature_dim, row_dim) ~seed
+        ~src:{ Vm.Plan.buf = rows; off = 0; stride = tail_width }
         ~dst:outv;
       let c =
         {
@@ -146,10 +148,8 @@ let compile t =
           c_emb = Embedder.compile t.embedder;
           c_tail = Vm.Plan.finish b ~nlayers:0 ~out:outv;
           c_rows = rows;
+          c_seed = seed;
           c_one_hots = Array.of_list (List.map Kernel.one_hot Kernel.all);
-          (* Fresh sentinel: physically equal to no caller's feature. *)
-          c_last_feature = Array.make 1 nan;
-          c_last_kernel = -1;
         }
       in
       t.vm <- Some c;
@@ -212,51 +212,42 @@ let embed t (schedules : Superschedule.t array) =
   let c = compile t in
   Array.sub (Embedder.forward_compiled c.c_emb schedules) 0 (batch * Config.embed_dim)
 
-(* Predict from a precomputed feature and a precomputed embedding — the cheap
-   "final part of the cost model" ANNS runs per graph hop (Fig. 1c).  Zero
-   steady-state allocation: the row lives in the tail plan's arena, and the
-   feature + one-hot thirds are re-blitted only when they change. *)
-let predict_tail ?kernel t ~feature ~(embedding : float array) =
+(* The predictor against one feature, split at the feature's last column
+   (DESIGN.md §14).  Applied to [~feature], it runs the first layer over
+   the feature columns once — seeded with the bias, no ReLU: the prefix
+   every row of the query shares.  Each later call builds [emb; one-hot]
+   rows for [batch] embeddings (read at stride [embed_dim] from offset 0)
+   and runs the tail plan seeded with that prefix, which resumes each
+   accumulator where the prefix left it: the same float-op chain as the
+   full row.  Results are borrowed from the plan's arena (valid prefix
+   [batch]) until the model's next tail execution. *)
+let tail_scorer ?kernel t ~feature =
   let kernel = Option.value kernel ~default:(kernel_of t) in
   let c = compile t in
   let fd = Config.feature_dim and ed = Config.embed_dim in
-  let rows = Vm.Plan.buffer c.c_tail c.c_rows ~len:row_dim in
-  let ki = Kernel.index kernel in
-  if not (feature == c.c_last_feature && ki = c.c_last_kernel) then begin
-    Array.blit feature 0 rows 0 fd;
-    Array.blit c.c_one_hots.(ki) 0 rows (fd + ed) Kernel.count;
-    c.c_last_feature <- feature;
-    c.c_last_kernel <- ki
-  end;
-  Array.blit embedding 0 rows fd ed;
-  (Vm.Plan.run_batch c.c_tail ~batch:1).(0)
-
-(* Compiled [rows_of] + predictor: one fused GEMM chain over [batch] rows.
-   [embs] is read at stride [embed_dim] from offset 0 (what {!embed} and the
-   compiled embedder produce). *)
-let predict_tail_batch ?kernel t ~feature ~embs ~batch =
-  let kernel = Option.value kernel ~default:(kernel_of t) in
-  let c = compile t in
-  let fd = Config.feature_dim and ed = Config.embed_dim in
-  let rows = Vm.Plan.buffer c.c_tail c.c_rows ~len:(batch * row_dim) in
+  let first = (Nn.Mlp.layers t.predictor).(0) in
+  let h = first.Nn.Linear.out_dim in
+  let prefix = Array.make h 0.0 in
+  Nn.Linear.forward_into first ~cols:(0, fd) ~batch:1 ~src:feature ~src_off:0
+    ~src_stride:fd ~dst:prefix ~dst_off:0 ~dst_stride:h ~relu:false;
   let hot = c.c_one_hots.(Kernel.index kernel) in
-  for b = 0 to batch - 1 do
-    let base = b * row_dim in
-    Array.blit feature 0 rows base fd;
-    Array.blit embs (b * ed) rows (base + fd) ed;
-    Array.blit hot 0 rows (base + fd + ed) Kernel.count
-  done;
-  (* The batch fill clobbered row 0; drop the single-row memo. *)
-  c.c_last_kernel <- -1;
-  Array.sub (Vm.Plan.run_batch c.c_tail ~batch) 0 batch
+  fun ~embs ~batch ->
+    (* Another query's scorer may have run since: the seed is re-set. *)
+    Array.blit prefix 0 (Vm.Plan.buffer c.c_tail c.c_seed ~len:h) 0 h;
+    let rows = Vm.Plan.buffer c.c_tail c.c_rows ~len:(batch * tail_width) in
+    for b = 0 to batch - 1 do
+      let base = b * tail_width in
+      Array.blit embs (b * ed) rows base ed;
+      Array.blit hot 0 rows (base + ed) Kernel.count
+    done;
+    Vm.Plan.run_batch c.c_tail ~batch
 
 (* Full prediction for a batch of schedules against one matrix. *)
 let predict ?kernel t (input : Extractor.input) (schedules : Superschedule.t array) =
   let batch = Array.length schedules in
   let feature = feature t input in
-  let c = compile t in
-  let embs = Embedder.forward_compiled c.c_emb schedules in
-  predict_tail_batch ?kernel t ~feature ~embs ~batch
+  let embs = Embedder.forward_compiled (compile t).c_emb schedules in
+  Array.sub (tail_scorer ?kernel t ~feature ~embs ~batch) 0 batch
 
 (* --- Persistence: flat text dump of all parameters, matched by name, inside
    the checksummed [Robust] artifact envelope and written atomically.  A crash

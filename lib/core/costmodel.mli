@@ -86,18 +86,18 @@ val clear_feature_cache : t -> unit
 val embed : t -> Superschedule.t array -> float array
 (** Program embeddings — the vectors the KNN graph is built on. *)
 
-val predict_tail :
-  ?kernel:Kernel.t -> t -> feature:float array -> embedding:float array -> float
+val tail_scorer :
+  ?kernel:Kernel.t -> t -> feature:float array -> embs:float array -> batch:int ->
+  float array
 (** The cheap "final part of the cost model" ANNS runs per graph hop
-    (Fig. 1c): predictor only, over a stored embedding.  [kernel] defaults
-    to {!kernel_of}. *)
-
-val predict_tail_batch :
-  ?kernel:Kernel.t -> t -> feature:float array -> embs:float array ->
-  batch:int -> float array
-(** Compiled {!rows_of} + predictor in one fused GEMM chain: fresh
-    predictions for [batch] embeddings (rows of [embs] at stride
-    [Config.embed_dim]) against one shared feature. *)
+    (Fig. 1c): the predictor over stored embeddings against one feature.
+    Apply it to [~feature] once per query: that runs the first layer over
+    the feature columns (the prefix every schedule shares).  The resulting
+    scorer predicts [batch] embeddings (rows of [embs] at stride
+    [Config.embed_dim]) per call, bitwise equal to {!Nn.Mlp.forward} over
+    full {!rows_of} rows.  Its result is borrowed (valid prefix [batch])
+    until the model's next tail execution.  [kernel] defaults to
+    {!kernel_of}. *)
 
 val predict :
   ?kernel:Kernel.t -> t -> Extractor.input -> Superschedule.t array ->

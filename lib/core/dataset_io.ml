@@ -46,13 +46,14 @@ let header_line (data : Dataset.t) =
 (* Write one sample's records: the .mtx (atomically, 2-D only) plus its
    MATRIX/TUPLE lines through [emit]. *)
 let write_sample ~dir ~emit (sample : Dataset.sample) =
-  if Array.length sample.Dataset.wl.Machine_model.Workload.dims = 2 then begin
+  let wl = sample.Dataset.wl in
+  if Array.length wl.Machine_model.Workload.dims = 2 then begin
+    let rows = wl.Machine_model.Workload.coords.(0)
+    and cols = wl.Machine_model.Workload.coords.(1) in
     let m =
-      Coo.of_triplets
-        ~nrows:sample.Dataset.wl.Machine_model.Workload.dims.(0)
-        ~ncols:sample.Dataset.wl.Machine_model.Workload.dims.(1)
-        (Array.to_list sample.Dataset.wl.Machine_model.Workload.entries
-        |> List.map (fun (c, v) -> (c.(0), c.(1), v)))
+      Coo.of_triplet_array ~nrows:wl.Machine_model.Workload.dims.(0)
+        ~ncols:wl.Machine_model.Workload.dims.(1)
+        (Array.mapi (fun e v -> (rows.(e), cols.(e), v)) wl.Machine_model.Workload.vals)
     in
     let file = sample.Dataset.name ^ ".mtx" in
     Mmio.write_coo (Filename.concat dir file) m;

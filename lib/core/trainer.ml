@@ -64,7 +64,9 @@ let eval_sample ?kernel model (sample : Dataset.sample) =
      epochs, while the weights are still moving. *)
   let feature = Costmodel.feature_nocache model sample.Dataset.input in
   let embs = Costmodel.embed model schedules in
-  let pred = Costmodel.predict_tail_batch ~kernel model ~feature ~embs ~batch in
+  let pred =
+    Array.sub (Costmodel.tail_scorer ~kernel model ~feature ~embs ~batch) 0 batch
+  in
   let loss, _ = Nn.Loss.pairwise ~min_gap:0.02 ~truth ~pred () in
   let acc = Nn.Loss.pair_accuracy ~truth ~pred in
   (loss, acc)

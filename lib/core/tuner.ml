@@ -162,13 +162,25 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
     let t0 = Robust.mono_now () in
     let feature = Costmodel.feature model input in
     let t1 = Robust.mono_now () in
-    (* Phase 2: ANNS over the KNN graph; the score runs only the predictor
-       tail against stored embeddings. *)
-    let score i =
-      Costmodel.predict_tail model ~feature
-        ~embedding:(index.hnsw.Anns.Hnsw.nodes.(i)).Anns.Hnsw.vec
+    (* Phase 2: ANNS over the KNN graph.  The score runs only the
+       predictor against stored embeddings: its first layer's feature
+       columns are computed once here, for the whole query (DESIGN.md
+       §14), and each expanded node's unscored neighbours are gathered
+       into one batch for the rest. *)
+    let score = Costmodel.tail_scorer model ~feature in
+    let ed = Config.embed_dim in
+    let embs = ref [||] in
+    let score_batch ids =
+      let n = Array.length ids in
+      if Array.length !embs < n * ed then embs := Array.make (n * ed) 0.0;
+      Array.iteri
+        (fun j id ->
+          let node = index.hnsw.Anns.Hnsw.nodes.(id) in
+          Array.blit node.Anns.Hnsw.vec 0 !embs (j * ed) ed)
+        ids;
+      score ~embs:!embs ~batch:n
     in
-    let found, evals = Anns.Hnsw.search_by index.hnsw ~score ~k ~ef () in
+    let found, evals = Anns.Hnsw.search_by index.hnsw ~score_batch ~k ~ef () in
     (* Symbolic pre-filter over the ranked candidates, ahead of the
        expensive phase: with [asym] (the default), top-k points the analyzer
        proves asymptotically dominated by the fixed-CSR baseline on this

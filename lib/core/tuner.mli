@@ -37,7 +37,9 @@ type result = {
   best_predicted : float;
   topk : (Superschedule.t * float) list;  (** (schedule, measured) *)
   feature_seconds : float;  (** phase 1: one WACONet forward *)
-  search_seconds : float;  (** phase 2: ANNS with the predictor tail *)
+  search_seconds : float;
+      (** phase 2: the graph walk scored by the predictor tail, plus the
+          asym pre-filter *)
   measure_seconds : float;
   cost_evals : int;  (** predictor evaluations during traversal *)
   measured_runs : int;
@@ -68,6 +70,14 @@ val tune :
   ?asym:bool -> ?deadline_at:float ->
   Costmodel.t -> Machine.t -> Workload.t -> Extractor.input -> index -> result
 (** [k] defaults to the paper's 10 measured candidates.
+
+    Phase 1 computes the matrix's feature once.  Phase 2 walks the index
+    graph with the predicted runtime as the metric: the predictor's first
+    layer over the feature columns runs once per query
+    ({!Costmodel.tail_scorer}), and each expanded node's unscored
+    neighbours are scored as one batch from their stored embeddings.
+    [cost_evals] counts the nodes scored.  Phase 3 measures the ranked
+    top-k on the simulator.
 
     With [asym] (default [true]), the ranked top-k passes the symbolic
     pre-filter before phase 3: schedules {!Asym.Analyzer.prunes} proves

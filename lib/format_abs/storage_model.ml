@@ -24,7 +24,9 @@ type t = {
 (* Distinct-prefix counts per level depth, computed by exact prefix-id
    propagation: each entry carries the id of its depth-(l-1) prefix; the
    depth-l id is interned from (parent id, coordinate).  O(nnz * levels) with
-   no sorting — this is on the dataset-generation hot path. *)
+   no sorting — this is on the dataset-generation and tune hot paths.
+   Ids are numbered by first occurrence in entry order, so they are dense
+   in [0, count) and the previous level's count bounds the parent ids. *)
 (* Generation-stamped interning scratch: a direct-mapped array avoids
    hashtable overhead for the (common) levels whose key space is small, and
    resets in O(1) via the generation counter.  Domain-local — the parallel
@@ -37,95 +39,95 @@ type scratch = { mutable ids : int array; mutable gens : int array; mutable g : 
 let scratch_key =
   Domain.DLS.new_key (fun () -> { ids = [||]; gens = [||]; g = 0 })
 
-(* Allocated once per domain at full capacity; reset is O(1) via [g]. *)
-let get_scratch () =
+(* Grown to the largest key space seen (doubling, at most [scratch_cap]):
+   a domain that only analyzes small patterns never holds the full
+   capacity.  Reset is O(1) via [g]; fresh arrays restart it at 0. *)
+let get_scratch need =
   let sc = Domain.DLS.get scratch_key in
-  if Array.length sc.ids < scratch_cap then begin
-    sc.ids <- Array.make scratch_cap 0;
-    sc.gens <- Array.make scratch_cap 0
+  if Array.length sc.ids < need then begin
+    let len = min scratch_cap (max need (2 * Array.length sc.ids)) in
+    sc.ids <- Array.make len 0;
+    sc.gens <- Array.make len 0;
+    sc.g <- 0
   end;
   sc
 
-(* Upper bound on the number of distinct parent ids entering level [lvl]:
-   ids are dense in [0, bound). *)
-let counts_prev_bound prev_ids n lvl =
-  if lvl = 0 then 1
-  else begin
-    let m = ref 0 in
+(* One level's interning pass: [prev_ids] in, this level's ids out (in
+   place); returns the number of distinct ids.  [cs] is the level's logical
+   coordinate array; the derived coordinate is [c / split] for a top
+   variable and [c mod split] for a bottom one. *)
+let intern_level ~prev_ids ~cs ~split ~is_top ~stride ~key_space =
+  let n = Array.length prev_ids in
+  let next = ref 0 in
+  if key_space > 0 && key_space <= scratch_cap then begin
+    let sc = get_scratch key_space in
+    sc.g <- sc.g + 1;
+    let ids = sc.ids and gens = sc.gens and g = sc.g in
     for e = 0 to n - 1 do
-      if prev_ids.(e) > !m then m := prev_ids.(e)
-    done;
-    !m + 1
+      let x = Array.unsafe_get cs e in
+      let c = if is_top then x / split else x mod split in
+      let key = (Array.unsafe_get prev_ids e * stride) + c in
+      if Array.unsafe_get gens key = g then
+        Array.unsafe_set prev_ids e (Array.unsafe_get ids key)
+      else begin
+        let id = !next in
+        incr next;
+        Array.unsafe_set gens key g;
+        Array.unsafe_set ids key id;
+        Array.unsafe_set prev_ids e id
+      end
+    done
   end
+  else begin
+    let tbl : (int, int) Hashtbl.t = Hashtbl.create (2 * n) in
+    for e = 0 to n - 1 do
+      let x = cs.(e) in
+      let c = if is_top then x / split else x mod split in
+      let key = (prev_ids.(e) * stride) + c in
+      match Hashtbl.find_opt tbl key with
+      | Some id -> prev_ids.(e) <- id
+      | None ->
+          let id = !next in
+          incr next;
+          Hashtbl.add tbl key id;
+          prev_ids.(e) <- id
+    done
+  end;
+  !next
 
-let distinct_prefix_counts (spec : Spec.t) (entries : (int array * float) array) =
-  let n = Array.length entries in
+let distinct_prefix_counts (spec : Spec.t) (coords : int array array) =
+  let n = if Array.length coords = 0 then 0 else Array.length coords.(0) in
+  if Array.exists (fun cs -> Array.length cs <> n) coords then
+    invalid_arg "Storage_model.distinct_prefix_counts: coordinate arrays differ";
   let nlv = Spec.nlevels spec in
   let counts = Array.make nlv 0 in
   let prev_ids = Array.make n 0 in
-  let lvl = ref 0 in
-  let all_distinct = ref false in
-  while !lvl < nlv && not !all_distinct do
-    let size = Spec.level_size spec !lvl in
-    let key_space = (counts_prev_bound prev_ids n !lvl * (size + 1)) + size + 1 in
-    let next = ref 0 in
-    if key_space > 0 && key_space <= scratch_cap then begin
-      (* Direct-mapped interning. *)
-      let sc = get_scratch () in
-      sc.g <- sc.g + 1;
-      let ids = sc.ids and gens = sc.gens and g = sc.g in
-      for e = 0 to n - 1 do
-        let coords, _ = entries.(e) in
-        let c = Packed.derived_coord spec ~logical:() !lvl coords in
-        let key = (prev_ids.(e) * (size + 1)) + c in
-        let id =
-          if gens.(key) = g then ids.(key)
-          else begin
-            let id = !next in
-            incr next;
-            gens.(key) <- g;
-            ids.(key) <- id;
-            id
-          end
-        in
-        prev_ids.(e) <- id
-      done
-    end
-    else begin
-      let tbl : (int, int) Hashtbl.t = Hashtbl.create (2 * n) in
-      for e = 0 to n - 1 do
-        let coords, _ = entries.(e) in
-        let c = Packed.derived_coord spec ~logical:() !lvl coords in
-        let key = (prev_ids.(e) * (size + 1)) + c in
-        let id =
-          match Hashtbl.find_opt tbl key with
-          | Some id -> id
-          | None ->
-              let id = !next in
-              incr next;
-              Hashtbl.add tbl key id;
-              id
-        in
-        prev_ids.(e) <- id
-      done
-    end;
-    counts.(!lvl) <- !next;
-    (* Once every entry has a distinct prefix, all deeper levels do too. *)
-    if !next = n then begin
-      for l = !lvl + 1 to nlv - 1 do
-        counts.(l) <- n
-      done;
-      all_distinct := true
-    end;
-    incr lvl
+  for l = 0 to nlv - 1 do
+    let size = Spec.level_size spec l in
+    (* Parent ids are dense in [0, bound). *)
+    let bound = if l = 0 then min n 1 else counts.(l - 1) in
+    counts.(l) <-
+      (if size = 1 || bound = n then
+         (* A one-wide level gives every entry coordinate 0, and a level
+            under all-distinct prefixes gives every entry its own key:
+            either way first-occurrence interning maps each id to itself. *)
+         bound
+       else begin
+         let v = Spec.level_var spec l in
+         let d = Spec.var_dim v in
+         let stride = size + 1 in
+         intern_level ~prev_ids ~cs:coords.(d) ~split:spec.Spec.splits.(d)
+           ~is_top:(Spec.var_is_top v) ~stride
+           ~key_space:((bound * stride) + stride)
+       end)
   done;
   counts
 
-let analyze (spec : Spec.t) (entries : (int array * float) array) =
+let analyze (spec : Spec.t) (coords : int array array) =
   Spec.validate spec;
   let nlv = Spec.nlevels spec in
-  let nnz = Array.length entries in
-  let prefix_counts = distinct_prefix_counts spec entries in
+  let nnz = if Array.length coords = 0 then 0 else Array.length coords.(0) in
+  let prefix_counts = distinct_prefix_counts spec coords in
   let level_positions = Array.make nlv 0.0 in
   let level_branching = Array.make nlv 0.0 in
   let pos_ints = ref 0 and crd_ints = ref 0 in
@@ -156,15 +158,8 @@ let analyze (spec : Spec.t) (entries : (int array * float) array) =
   }
 
 let analyze_coo (spec : Spec.t) (m : Sptensor.Coo.t) =
-  let entries =
-    Array.init (Sptensor.Coo.nnz m) (fun k ->
-        ([| m.Sptensor.Coo.rows.(k); m.Sptensor.Coo.cols.(k) |], m.Sptensor.Coo.vals.(k)))
-  in
-  analyze spec entries
+  analyze spec [| m.Sptensor.Coo.rows; m.Sptensor.Coo.cols |]
 
 let analyze_tensor3 (spec : Spec.t) (t : Sptensor.Tensor3.t) =
   let open Sptensor.Tensor3 in
-  let entries =
-    Array.init (nnz t) (fun p -> ([| t.is.(p); t.ks.(p); t.ls.(p) |], t.vals.(p)))
-  in
-  analyze spec entries
+  analyze spec [| t.is; t.ks; t.ls |]

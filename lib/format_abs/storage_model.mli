@@ -16,11 +16,20 @@ type t = {
   level_branching : float array;  (** average children per parent position *)
 }
 
-val distinct_prefix_counts : Spec.t -> (int array * float) array -> int array
-(** Distinct nonzero coordinate prefixes at each level depth, by exact
-    prefix-id interning. *)
+val scratch_cap : int
+(** Key spaces up to this size intern through a direct-mapped per-domain
+    array; larger ones fall back to a hashtable with the same output. *)
 
-val analyze : Spec.t -> (int array * float) array -> t
+val distinct_prefix_counts : Spec.t -> int array array -> int array
+(** Distinct nonzero coordinate prefixes at each level depth, by exact
+    prefix-id interning.  [coords.(d).(e)] is entry [e]'s logical
+    coordinate on dimension [d]; every array has one slot per entry
+    ([Invalid_argument] otherwise).  The result does not depend on the
+    entries' order. *)
+
+val analyze : Spec.t -> int array array -> t
+(** The storage of a pattern given as per-dimension coordinate arrays (see
+    {!distinct_prefix_counts}); the arrays are read, never written. *)
 
 val analyze_coo : Spec.t -> Sptensor.Coo.t -> t
 

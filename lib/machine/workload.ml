@@ -11,7 +11,8 @@ type t = {
   id : string;
   dims : int array;
   nnz : int;
-  entries : (int array * float) array;
+  coords : int array array; (* coords.(d).(e) = entry e's logical coord on dim d *)
+  vals : float array; (* entry values, same entry order *)
   counts : int array array; (* counts.(d).(x) = nonzeros with logical coord x on dim d *)
   storage_cache : (string, Format_abs.Storage_model.t) Hashtbl.t;
   kernel_work_cache : (string, float array) Hashtbl.t;
@@ -22,20 +23,28 @@ type t = {
          Hashtbl is not safe under concurrent mutation. *)
 }
 
-let build ~id ~dims ~entries =
-  let r = Array.length dims in
-  let counts = Array.init r (fun d -> Array.make dims.(d) 0) in
-  Array.iter
-    (fun (coords, _) ->
-      for d = 0 to r - 1 do
-        counts.(d).(coords.(d)) <- counts.(d).(coords.(d)) + 1
-      done)
-    entries;
+(* Flat per-dimension coordinate arrays: the storage model's interning pass
+   reads one unboxed int array per level, and a COO or tensor source hands
+   its own arrays over without a copy. *)
+let build ~id ~dims ~coords ~vals =
+  let nnz = Array.length vals in
+  if Array.length coords <> Array.length dims
+     || Array.exists (fun cs -> Array.length cs <> nnz) coords
+  then invalid_arg "Workload.build: coordinate arrays do not match dims and vals";
+  let counts =
+    Array.mapi
+      (fun d cs ->
+        let c = Array.make dims.(d) 0 in
+        Array.iter (fun x -> c.(x) <- c.(x) + 1) cs;
+        c)
+      coords
+  in
   {
     id;
     dims;
-    nnz = Array.length entries;
-    entries;
+    nnz;
+    coords;
+    vals;
     counts;
     storage_cache = Hashtbl.create 64;
     kernel_work_cache = Hashtbl.create 16;
@@ -43,18 +52,13 @@ let build ~id ~dims ~entries =
   }
 
 let of_coo ?(id = "coo") (m : Coo.t) =
-  let entries =
-    Array.init (Coo.nnz m) (fun k ->
-        ([| m.Coo.rows.(k); m.Coo.cols.(k) |], m.Coo.vals.(k)))
-  in
-  build ~id ~dims:[| m.Coo.nrows; m.Coo.ncols |] ~entries
+  build ~id ~dims:[| m.Coo.nrows; m.Coo.ncols |] ~coords:[| m.Coo.rows; m.Coo.cols |]
+    ~vals:m.Coo.vals
 
 let of_tensor3 ?(id = "tensor3") (t : Tensor3.t) =
   let open Tensor3 in
-  let entries =
-    Array.init (nnz t) (fun p -> ([| t.is.(p); t.ks.(p); t.ls.(p) |], t.vals.(p)))
-  in
-  build ~id ~dims:[| t.dim_i; t.dim_k; t.dim_l |] ~entries
+  build ~id ~dims:[| t.dim_i; t.dim_k; t.dim_l |] ~coords:[| t.is; t.ks; t.ls |]
+    ~vals:t.vals
 
 let spec_key (spec : Format_abs.Spec.t) =
   let buf = Buffer.create 32 in
@@ -77,7 +81,7 @@ let storage t (spec : Format_abs.Spec.t) =
   | None ->
       (* Analyze outside the lock: it is pure, and a duplicate computation on a
          concurrent miss is cheaper than serializing every analysis. *)
-      let s = Format_abs.Storage_model.analyze spec t.entries in
+      let s = Format_abs.Storage_model.analyze spec t.coords in
       Mutex.protect t.cache_lock (fun () ->
           if not (Hashtbl.mem t.storage_cache key) then
             Hashtbl.add t.storage_cache key s);

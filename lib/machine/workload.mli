@@ -8,7 +8,10 @@ type t = {
   id : string;
   dims : int array;
   nnz : int;
-  entries : (int array * float) array;
+  coords : int array array;
+      (** [coords.(d).(e)]: entry [e]'s logical coordinate on dim [d].  May
+          share the source COO's or tensor's arrays; never written. *)
+  vals : float array;  (** entry values, in the same entry order *)
   counts : int array array;
       (** [counts.(d).(x)] = nonzeros with logical coordinate [x] on dim [d] *)
   storage_cache : (string, Format_abs.Storage_model.t) Hashtbl.t;
@@ -20,11 +23,15 @@ type t = {
           workload across domains *)
 }
 
-val build : id:string -> dims:int array -> entries:(int array * float) array -> t
+val build : id:string -> dims:int array -> coords:int array array -> vals:float array -> t
+(** Raises [Invalid_argument] unless there is one coordinate array per
+    dimension and every array has one slot per value. *)
 
 val of_coo : ?id:string -> Coo.t -> t
+(** Shares the COO's row, column and value arrays (no copy). *)
 
 val of_tensor3 : ?id:string -> Tensor3.t -> t
+(** Shares the tensor's coordinate and value arrays (no copy). *)
 
 val spec_key : Format_abs.Spec.t -> string
 (** Memoization key of the format part of a spec. *)

@@ -53,22 +53,37 @@ let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.
    VM's Gemm instruction (DESIGN.md §14): a blocked batched GEMM over
    strided row views with the bias add and an optional trailing ReLU fused
    in.  Every output cell is one accumulator seeded with the bias, then the
-   full input extent in ascending order.  Tiling covers batch rows only
-   (four row accumulators share one streamed weight row); the reduction
-   dimension is never split, so a cell's value does not depend on its
-   batch or row position.  Forward-only: no caching, and zero allocation. *)
-let forward_into t ~batch ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride ~relu =
+   input extent in ascending order.  Tiling covers batch rows only (four
+   row accumulators share one streamed weight row); a cell's value does not
+   depend on its batch or row position.  Forward-only: no caching, and zero
+   allocation.
+
+   [cols = (lo, hi)] restricts the reduction to weight columns [lo, hi),
+   reading each row's [hi - lo] inputs from its view, and [seed] replaces
+   the bias as every accumulator's start.  A reduction split at column [c]
+   and resumed from the first part's stored (un-ReLU'd) output is therefore
+   the same float-op chain as the unsplit one: bias, columns [0, c), then
+   columns [c, in_dim), one accumulator, ascending. *)
+let forward_into ?cols ?seed t ~batch ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride
+    ~relu =
   if batch > 0 then begin
-    let id = t.in_dim and od = t.out_dim in
+    let od = t.out_dim in
+    let lo = match cols with Some (l, _) -> l | None -> 0 in
+    let hi = match cols with Some (_, h) -> h | None -> t.in_dim in
+    let seed = match seed with Some s -> s | None -> t.b.Param.data in
+    let width = hi - lo in
     if
-      src_off < 0 || dst_off < 0
-      || Array.length src < src_off + ((batch - 1) * src_stride) + id
+      lo < 0 || hi > t.in_dim || width < 0 || src_off < 0 || dst_off < 0
+      || Array.length seed < od
+      || Array.length src < src_off + ((batch - 1) * src_stride) + width
       || Array.length dst < dst_off + ((batch - 1) * dst_stride) + od
     then invalid_arg "Linear.forward_into: view out of bounds";
-    let w = t.w.Param.data and bias = t.b.Param.data in
+    let id = t.in_dim in
+    let w = t.w.Param.data in
     let n = ref 0 in
     while !n + 4 <= batch do
-      let s0 = src_off + (!n * src_stride) in
+      (* [s_k + i] is row k's input for weight column [i]. *)
+      let s0 = src_off + (!n * src_stride) - lo in
       let s1 = s0 + src_stride in
       let s2 = s1 + src_stride in
       let s3 = s2 + src_stride in
@@ -78,9 +93,9 @@ let forward_into t ~batch ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride ~r
       let d3 = d2 + dst_stride in
       for o = 0 to od - 1 do
         let wb = o * id in
-        let b0 = Array.unsafe_get bias o in
+        let b0 = Array.unsafe_get seed o in
         let a0 = ref b0 and a1 = ref b0 and a2 = ref b0 and a3 = ref b0 in
-        for i = 0 to id - 1 do
+        for i = lo to hi - 1 do
           let wv = Array.unsafe_get w (wb + i) in
           a0 := !a0 +. (wv *. Array.unsafe_get src (s0 + i));
           a1 := !a1 +. (wv *. Array.unsafe_get src (s1 + i));
@@ -103,12 +118,12 @@ let forward_into t ~batch ~src ~src_off ~src_stride ~dst ~dst_off ~dst_stride ~r
       n := !n + 4
     done;
     while !n < batch do
-      let sb = src_off + (!n * src_stride) in
+      let sb = src_off + (!n * src_stride) - lo in
       let db = dst_off + (!n * dst_stride) in
       for o = 0 to od - 1 do
         let wb = o * id in
-        let acc = ref (Array.unsafe_get bias o) in
-        for i = 0 to id - 1 do
+        let acc = ref (Array.unsafe_get seed o) in
+        for i = lo to hi - 1 do
           acc := !acc +. (Array.unsafe_get w (wb + i) *. Array.unsafe_get src (sb + i))
         done;
         Array.unsafe_set dst (db + o) (if relu && not (!acc > 0.0) then 0.0 else !acc)

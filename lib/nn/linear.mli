@@ -28,6 +28,8 @@ val replicate : t -> t
     scratch buffers. *)
 
 val forward_into :
+  ?cols:int * int ->
+  ?seed:float array ->
   t ->
   batch:int ->
   src:float array ->
@@ -44,7 +46,14 @@ val forward_into :
     [src_off + n*src_stride ..+ in_dim]; outputs land at
     [dst_off + n*dst_stride ..+ out_dim].  Each output cell is one
     ascending accumulation chain seeded with the bias, whatever the batch.
-    Forward-only (no caching), zero allocation. *)
+    Forward-only (no caching), zero allocation.
+
+    [cols = (lo, hi)] (default [(0, in_dim)]) reduces over weight columns
+    [lo, hi) only; row [n]'s inputs then occupy
+    [src_off + n*src_stride ..+ (hi - lo)].  [seed] (default the bias, at
+    least [out_dim] long) is every row's accumulator start.  Running
+    columns [(0, c)] without ReLU and feeding the output as the [seed] of
+    columns [(c, in_dim)] is bitwise the unsplit forward. *)
 
 val forward : ?relu:bool -> t -> batch:int -> float array -> float array
 (** Caches the input for {!backward}, then {!forward_into} this instance's

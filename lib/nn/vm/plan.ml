@@ -11,7 +11,14 @@
 type view = { buf : int; off : int; stride : int }
 
 type instr =
-  | Gemm of { lin : Nn.Linear.t; src : view; dst : view; relu : bool }
+  | Gemm of {
+      lin : Nn.Linear.t;
+      src : view;
+      dst : view;
+      relu : bool;
+      cols : (int * int) option; (* reduction window; None = all columns *)
+      seed : int; (* arena slot of the accumulator seed; -1 = the bias *)
+    }
   | Conv of {
       conv : Nn.Sparse_conv.t;
       layer : int;
@@ -46,9 +53,10 @@ let fresh b =
   b.nbufs <- id + 1;
   id
 
-let gemm b lin ~src ~dst ~relu = b.rev_batched <- Gemm { lin; src; dst; relu } :: b.rev_batched
+let gemm ?cols ?(seed = -1) b lin ~src ~dst ~relu =
+  b.rev_batched <- Gemm { lin; src; dst; relu; cols; seed } :: b.rev_batched
 
-let mlp b (m : Nn.Mlp.t) ~src ~dst =
+let mlp ?cols ?seed b (m : Nn.Mlp.t) ~src ~dst =
   let layers = Nn.Mlp.layers m in
   let n = Array.length layers in
   let cur = ref src in
@@ -58,7 +66,8 @@ let mlp b (m : Nn.Mlp.t) ~src ~dst =
       if l = n - 1 then dst
       else { buf = fresh b; off = 0; stride = lin.Nn.Linear.out_dim }
     in
-    gemm b lin ~src:!cur ~dst:d ~relu:(Nn.Mlp.relu_after m l);
+    if l = 0 then gemm ?cols ?seed b lin ~src:!cur ~dst:d ~relu:(Nn.Mlp.relu_after m l)
+    else gemm b lin ~src:!cur ~dst:d ~relu:(Nn.Mlp.relu_after m l);
     cur := d
   done
 
@@ -123,8 +132,9 @@ let begin_batch t ~batch =
     ensure_views t ~batch t.batched
   end
 
-let exec_gemm t ~batch (lin : Nn.Linear.t) ~(src : view) ~(dst : view) ~relu =
-  Nn.Linear.forward_into lin ~batch
+let exec_gemm t ~batch (lin : Nn.Linear.t) ~(src : view) ~(dst : view) ~relu ~cols ~seed =
+  let seed = if seed < 0 then None else Some (Arena.get t.arena seed) in
+  Nn.Linear.forward_into ?cols ?seed lin ~batch
     ~src:(Arena.get t.arena src.buf)
     ~src_off:src.off ~src_stride:src.stride
     ~dst:(Arena.get t.arena dst.buf)
@@ -147,7 +157,8 @@ let exec_pool t ~src ~channels ~layer ~(dst : view) =
 let exec t ~batch instrs =
   for k = 0 to Array.length instrs - 1 do
     match Array.unsafe_get instrs k with
-    | Gemm { lin; src; dst; relu } -> exec_gemm t ~batch lin ~src ~dst ~relu
+    | Gemm { lin; src; dst; relu; cols; seed } ->
+        exec_gemm t ~batch lin ~src ~dst ~relu ~cols ~seed
     | Conv { conv; layer; src; dst; relu } -> exec_conv t conv ~layer ~src ~dst ~relu
     | Pool { src; channels; layer; dst } -> exec_pool t ~src ~channels ~layer ~dst
   done

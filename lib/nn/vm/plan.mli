@@ -46,14 +46,22 @@ val builder : unit -> builder
 val fresh : builder -> int
 (** Allocate an arena buffer slot for a planned value. *)
 
-val gemm : builder -> Nn.Linear.t -> src:view -> dst:view -> relu:bool -> unit
+val gemm :
+  ?cols:int * int -> ?seed:int -> builder -> Nn.Linear.t -> src:view -> dst:view ->
+  relu:bool -> unit
 (** Append a batched fused GEMM to the batched tape.  Parameters are shared
-    with the eager layer (in-place optimizer updates stay visible). *)
+    with the eager layer (in-place optimizer updates stay visible).
+    [cols] and [seed] are {!Nn.Linear.forward_into}'s reduction window and
+    accumulator seed; [seed] names the arena slot holding the seed vector
+    (filled through {!buffer} before {!run_batch}), default the bias. *)
 
-val mlp : builder -> Nn.Mlp.t -> src:view -> dst:view -> unit
+val mlp :
+  ?cols:int * int -> ?seed:int -> builder -> Nn.Mlp.t -> src:view -> dst:view -> unit
 (** Append one fused GEMM per layer of the MLP, threading internal views;
     ReLU placement (including [final_relu]) mirrors {!Nn.Mlp.forward}.  The
-    final layer writes into [dst]. *)
+    final layer writes into [dst].  [cols] and [seed] apply to the first
+    layer, as in {!gemm}: the MLP resumes a first-layer reduction whose
+    leading columns were computed elsewhere. *)
 
 val conv : builder -> Nn.Sparse_conv.t -> layer:int -> src:int -> dst:int -> relu:bool -> unit
 (** Append a sparse conv to the per-item tape.  [layer] names the kernel-map

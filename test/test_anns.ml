@@ -74,7 +74,7 @@ let test_hnsw_search_by_generic () =
     Array.iteri (fun i x -> acc := !acc +. ((x -. target.(i)) ** 2.0)) v;
     !acc
   in
-  let found, evals = Anns.Hnsw.search_by h ~score:(fun i -> score i) ~k:5 ~ef:50 () in
+  let found, evals = Anns.Hnsw.search_by h ~score_batch:(Array.map score) ~k:5 ~ef:50 () in
   Alcotest.(check bool) "found 5" true (List.length found = 5);
   Alcotest.(check bool) "did not scan everything" true (evals < 400);
   (* best found should be near the true best *)

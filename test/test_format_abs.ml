@@ -137,6 +137,48 @@ let test_storage_analytic_csr () =
   Alcotest.(check int) "pos = nrows+1" 5 a.Storage_model.pos_ints;
   Alcotest.(check (float 1e-9)) "fill" 1.0 a.Storage_model.fill_ratio
 
+(* A key space past the direct-mapped scratch takes the hashtable path,
+   which must count exactly what physical packing materializes. *)
+let test_storage_hashtable_fallback () =
+  let r = rng () in
+  let n = 5000 in
+  let m = Gen.uniform r ~nrows:n ~ncols:n ~nnz:3000 in
+  let distinct_rows =
+    Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 (Coo.nnz_per_row m)
+  in
+  (* The CSR column level interns (row id, column) pairs. *)
+  Alcotest.(check bool) "key space exceeds the scratch" true
+    ((distinct_rows + 1) * (n + 1) > Storage_model.scratch_cap);
+  let spec = Spec.csr_like ~dims:[| n; n |] in
+  let a = Storage_model.analyze_coo spec m in
+  match Packed.of_coo spec m with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+      let st = Packed.storage_of p in
+      Alcotest.(check int) "crd" st.Packed.crd_ints a.Storage_model.crd_ints;
+      Alcotest.(check int) "pos" st.Packed.pos_ints a.Storage_model.pos_ints;
+      Alcotest.(check int) "vals" st.Packed.nvals (int_of_float a.Storage_model.nvals)
+
+(* The analysis reads a pattern, not an entry order: sub-workloads built in
+   any order (ASpT's partition) must price like the sorted COO. *)
+let qcheck_storage_order_free =
+  QCheck.Test.make ~name:"analytic storage ignores entry order (prop)" ~count:40
+    QCheck.small_nat
+    (fun seed ->
+      let r = Rng.create (seed + 5) in
+      let m = Gen.rmat r ~nrows:64 ~ncols:48 ~nnz:300 in
+      let s = Schedule.Space.sample r (Schedule.Algorithm.Spmm 4) ~dims:[| 64; 48 |] in
+      let spec = Schedule.Superschedule.to_spec s ~dims:[| 64; 48 |] in
+      let perm = Array.init (Coo.nnz m) Fun.id in
+      for i = Array.length perm - 1 downto 1 do
+        let j = Rng.int r (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let shuffled = Array.map (fun a -> Array.map (Array.get a) perm) [| m.Coo.rows; m.Coo.cols |] in
+      Storage_model.analyze_coo spec m = Storage_model.analyze spec shuffled)
+
 let qcheck_storage_consistency =
   QCheck.Test.make ~name:"analytic storage = physical storage (prop)" ~count:60
     QCheck.small_nat
@@ -193,7 +235,11 @@ let () =
         ] );
       ( "storage",
         Alcotest.test_case "analytic csr" `Quick test_storage_analytic_csr
+        :: Alcotest.test_case "hashtable fallback" `Quick test_storage_hashtable_fallback
         :: List.map QCheck_alcotest.to_alcotest
-             [ qcheck_storage_consistency; qcheck_pack_roundtrip; qcheck_fill_ratio_bounds ]
+             [
+               qcheck_storage_consistency; qcheck_pack_roundtrip; qcheck_fill_ratio_bounds;
+               qcheck_storage_order_free;
+             ]
       );
     ]

@@ -167,6 +167,57 @@ let test_machines_rank_differently () =
   let wi = best Machine.intel_like and wa = best Machine.amd_like in
   Alcotest.(check bool) "winners computed" true (String.length wi > 0 && String.length wa > 0)
 
+(* Golden pin of the whole simulator: every float field of [estimate] by
+   its bits, plus its two integer fields, over every generator family,
+   seeded sampled schedules and all four kernels (MTTKRP over rank-3
+   workloads).  A change to Costsim, Workload or the storage model that
+   moves one bit of one estimate moves the digest. *)
+let costsim_golden_text () =
+  let buf = Buffer.create 65536 in
+  let record wl s =
+    let b = Costsim.estimate machine wl s in
+    List.iter
+      (fun f -> Printf.bprintf buf "%Lx " (Int64.bits_of_float f))
+      Costsim.
+        [
+          b.seconds; b.serial_seconds; b.compute_seconds; b.memory_seconds;
+          b.search_seconds; b.makespan_seconds; b.dram_bytes; b.flops;
+          b.vec_factor; b.nvals;
+        ];
+    Printf.bprintf buf "%d %d\n" b.Costsim.discordant b.Costsim.threads_used
+  in
+  let r = Rng.create 4711 in
+  let sample algo (wl : Workload.t) =
+    for _ = 1 to 8 do
+      record wl (Space.sample r algo ~dims:wl.Workload.dims)
+    done
+  in
+  Array.iter
+    (fun fam ->
+      let m = Gen.generate r fam ~nrows:160 ~ncols:144 ~nnz:1200 in
+      let wl = Workload.of_coo ~id:(Gen.family_name fam) m in
+      List.iter
+        (fun algo -> sample algo wl)
+        [ Algorithm.Spmv; Algorithm.Spmm 32; Algorithm.Sddmm 16 ])
+    Gen.all_families;
+  (* Key spaces past the storage model's direct-mapped scratch. *)
+  let wide = Workload.of_coo ~id:"wide" (Gen.uniform r ~nrows:3000 ~ncols:3000 ~nnz:8000) in
+  sample (Algorithm.Spmm 32) wide;
+  let uniform = Gen.tensor3_uniform r ~dim_i:48 ~dim_k:40 ~dim_l:36 ~nnz:900 in
+  let blocked = Gen.tensor3_blocked r ~block:4 ~dim_i:48 ~dim_k:40 ~dim_l:36 ~nnz:900 in
+  let skewed = Gen.tensor3_skewed r ~alpha:1.4 ~dim_i:48 ~dim_k:40 ~dim_l:36 ~nnz:900 in
+  List.iter
+    (fun t -> sample (Algorithm.Mttkrp 16) (Workload.of_tensor3 t))
+    [ uniform; blocked; skewed ];
+  Buffer.contents buf
+
+(* Recorded before the flat-coordinate workload layout; any simulator
+   change must leave it bit-identical. *)
+let test_costsim_golden () =
+  Alcotest.(check string)
+    "estimate digest" "d713c2d4074afdb505de0214986c8b6d"
+    (Digest.to_hex (Digest.string (costsim_golden_text ())))
+
 let qcheck_threads_help_on_uniform =
   QCheck.Test.make ~name:"parallel beats serial-ish chunk extremes (prop)" ~count:20
     QCheck.small_nat
@@ -195,6 +246,7 @@ let () =
           Alcotest.test_case "workload slices" `Quick test_workload_slices;
           Alcotest.test_case "convert time" `Quick test_convert_time_positive;
           Alcotest.test_case "machines differ" `Quick test_machines_rank_differently;
+          Alcotest.test_case "estimate golden" `Quick test_costsim_golden;
           QCheck_alcotest.to_alcotest qcheck_threads_help_on_uniform;
         ] );
     ]

@@ -146,6 +146,46 @@ let test_trained_predict_parity () =
   in
   check_predict_parity ~what:"trained predict" model input scheds
 
+(* --- prefix-seeded predictor tail vs the full-row MLP --- *)
+
+(* The graph walk's scorer runs the predictor's first layer over the
+   feature columns once per query and resumes that reduction per batch of
+   embeddings (DESIGN.md §14).  Every prediction must equal Nn.Mlp.forward
+   over the full row, bit for bit, for each kernel's one-hot.  All four
+   scorers of a feature are built before any of them runs, so each call
+   follows another scorer's and must re-seed the shared plan. *)
+let test_tail_prefix_parity () =
+  let r = rng () in
+  let fd = Waco.Config.feature_dim and ed = Waco.Config.embed_dim in
+  List.iter
+    (fun (name, algo, _) ->
+      let model = Waco.Costmodel.create (Rng.create 91) algo in
+      for trial = 0 to 1 do
+        let feature = Array.init fd (fun _ -> Rng.float_in r (-4.0) 4.0) in
+        let scorers =
+          List.map
+            (fun kernel -> (kernel, Waco.Costmodel.tail_scorer ~kernel model ~feature))
+            Waco.Kernel.all
+        in
+        List.iter
+          (fun batch ->
+            let embs = Array.init (batch * ed) (fun _ -> Rng.float_in r (-3.0) 3.0) in
+            List.iter
+              (fun (kernel, score) ->
+                let rows = Waco.Costmodel.rows_of ~kernel ~feature ~embs ~batch in
+                let want =
+                  Array.sub (Nn.Mlp.forward model.Waco.Costmodel.predictor ~batch rows) 0 batch
+                in
+                check_bits
+                  (Printf.sprintf "%s trial %d %s batch=%d" name trial
+                     (Waco.Kernel.name kernel) batch)
+                  want
+                  (Array.sub (score ~embs ~batch) 0 batch))
+              scorers)
+          [ 1; 3; 4; 5; 7; 32 ]
+      done)
+    kernels
+
 (* --- steady-state allocation budgets --- *)
 
 (* A pure-GEMM plan (the predictor-tail shape) must allocate nothing at all
@@ -269,6 +309,7 @@ let () =
           Alcotest.test_case "embedder forward_compiled" `Quick
             test_embedder_parity;
           Alcotest.test_case "costmodel predict" `Quick test_predict_parity;
+          Alcotest.test_case "prefix-seeded tail" `Quick test_tail_prefix_parity;
           Alcotest.test_case "trained costmodel predict" `Slow
             test_trained_predict_parity;
         ] );

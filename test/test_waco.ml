@@ -105,9 +105,48 @@ let test_predict_tail_matches_full () =
   let s = Space.sample r algo ~dims in
   let full = (Waco.Costmodel.predict model input [| s |]).(0) in
   let feature = Waco.Costmodel.feature model input in
-  let emb = Waco.Costmodel.embed model [| s |] in
-  let tail = Waco.Costmodel.predict_tail model ~feature ~embedding:emb in
+  let embs = Waco.Costmodel.embed model [| s |] in
+  let tail = (Waco.Costmodel.tail_scorer model ~feature ~embs ~batch:1).(0) in
   Alcotest.(check (float 1e-9)) "tail = full" full tail
+
+(* The tuner's graph walk on a seeded model and index, for every kernel's
+   one-hot: top-k ids, the bits of their predicted scores and the number of
+   predictor evaluations, as recorded when each hop scored one node through
+   a full predictor row.  Batching the hops and seeding the first layer
+   with the per-query feature prefix must change none of it. *)
+let test_search_by_pinned () =
+  let r = Rng.create 1717 in
+  let model = Waco.Costmodel.create r algo in
+  let corpus = Array.of_list (Space.sample_distinct r algo ~dims ~count:160) in
+  let hnsw = (Waco.Tuner.build_index r model corpus).Waco.Tuner.hnsw in
+  let m = Gen.power_law r ~alpha:1.3 ~nrows:80 ~ncols:80 ~nnz:400 in
+  let feature = Waco.Costmodel.feature model (Waco.Extractor.input_of_coo ~id:"pin" m) in
+  let ed = Waco.Config.embed_dim in
+  let buf = Buffer.create 1024 in
+  let evals =
+    List.map
+      (fun kernel ->
+        let score = Waco.Costmodel.tail_scorer ~kernel model ~feature in
+        let score_batch ids =
+          let embs = Array.make (Array.length ids * ed) 0.0 in
+          Array.iteri
+            (fun j id -> Array.blit hnsw.Anns.Hnsw.nodes.(id).Anns.Hnsw.vec 0 embs (j * ed) ed)
+            ids;
+          score ~embs ~batch:(Array.length ids)
+        in
+        let found, evals = Anns.Hnsw.search_by hnsw ~score_batch ~k:10 ~ef:40 () in
+        Printf.bprintf buf "%s %d" (Waco.Kernel.name kernel) evals;
+        List.iter
+          (fun (d, id) -> Printf.bprintf buf " %d:%Lx" id (Int64.bits_of_float d))
+          found;
+        Buffer.add_char buf '\n';
+        evals)
+      Waco.Kernel.all
+  in
+  Alcotest.(check int) "index size" 160 (Anns.Hnsw.size hnsw);
+  Alcotest.(check (list int)) "evals" [ 119; 125; 144; 127 ] evals;
+  Alcotest.(check string) "top-k ids and score bits" "79d05aa8e61c54e7d2826398c1142717"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_save_load_roundtrip () =
   let r = rng () in
@@ -233,6 +272,7 @@ let () =
           Alcotest.test_case "gradients flow" `Quick test_costmodel_gradients_flow;
           Alcotest.test_case "gradcheck" `Slow test_costmodel_gradcheck;
           Alcotest.test_case "predict tail" `Quick test_predict_tail_matches_full;
+          Alcotest.test_case "pinned graph walk" `Quick test_search_by_pinned;
           Alcotest.test_case "save/load" `Quick test_save_load_roundtrip;
           Alcotest.test_case "feature cache" `Quick test_feature_cache;
           Alcotest.test_case "feature memo bound" `Quick test_feature_memo_bound;
