@@ -27,7 +27,6 @@ type stats = {
 type t = {
   algo : Algorithm.t;
   stats : stats;
-  margin : float;
   env : Expr.env;
   baseline : Expr.t;
   memo : (string, Expr.t) Hashtbl.t;
@@ -143,26 +142,27 @@ let cost_of env stats (s : Superschedule.t) =
   in
   List.fold_left Expr.add body (!terms @ disc)
 
-(* The default margin must exceed every constant factor the simulator can
+(* The margin must exceed every constant factor the simulator can
    award a schedule that the symbolic model calls worse: vectorization of a
    dense inner loop (simd_width, 8 on the default machine) is the largest,
    with memory/parallel effects contributing small multiples on top.  32
    leaves a 4x cushion over the SIMD edge, so a pruned schedule — at least
    margin-times the baseline's symbolic work — cannot win on the simulated
    hardware. *)
-let create ?(margin = 32.0) ~algo stats =
+let margin = 32.0
+
+let create ~algo stats =
   let env = env_of_stats algo stats in
   {
     algo;
     stats;
-    margin;
     env;
     baseline = cost_of env stats (Superschedule.fixed_default algo);
     memo = Hashtbl.create 256;
     lock = Mutex.create ();
   }
 
-let of_workload ?margin ~algo wl = create ?margin ~algo (stats_of_workload wl)
+let of_workload ~algo wl = create ~algo (stats_of_workload wl)
 
 let algo t = t.algo
 
@@ -194,7 +194,7 @@ let verdict t s = Expr.compare (cost t s) t.baseline
 let prunes t s =
   match verdict t s with
   | Expr.Dominates ->
-      Expr.eval t.env (cost t s) > t.margin *. Expr.eval t.env t.baseline
+      Expr.eval t.env (cost t s) > margin *. Expr.eval t.env t.baseline
   | Expr.Equal | Expr.Dominated | Expr.Incomparable -> false
   | exception Invalid_argument _ -> false (* illegal: the lint filter's job *)
 
@@ -309,7 +309,7 @@ let fallback t =
          the workload does not decisively favour a variant. *)
       match Expr.compare (cost t c) (cost t best) with
       | Expr.Dominated
-        when Expr.eval t.env (cost t c) *. t.margin
+        when Expr.eval t.env (cost t c) *. margin
              <= Expr.eval t.env (cost t best) ->
           c
       | _ -> best)

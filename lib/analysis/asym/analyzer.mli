@@ -33,17 +33,16 @@ val default_stats : algo:Algorithm.t -> ?dims:int array -> unit -> stats
     ([F_d = 1]), [nnz = 8 * max_d N_d] — a typical sparse regime where
     [nnz << prod N_d]. *)
 
-val create : ?margin:float -> algo:Algorithm.t -> stats -> t
-(** [margin] (default 32.0) is the numeric magnitude ratio a symbolically
-    dominated schedule must also exceed before {!prunes} rejects it — the
-    guard that keeps borderline candidates in the search.  The default is
-    sized against the simulator's largest constant factor (dense-loop
+val create : algo:Algorithm.t -> stats -> t
+(** The analyzer's margin, 32, is the numeric magnitude ratio a
+    symbolically dominated schedule must also exceed before {!prunes}
+    rejects it — the guard that keeps borderline candidates in the search.
+    It is sized against the simulator's largest constant factor (dense-loop
     vectorization, [simd_width] = 8 on the default machine) with a 4x
     cushion, so pruning never removes a schedule that constants alone could
     rescue. *)
 
-val of_workload :
-  ?margin:float -> algo:Algorithm.t -> Machine_model.Workload.t -> t
+val of_workload : algo:Algorithm.t -> Machine_model.Workload.t -> t
 
 val algo : t -> Algorithm.t
 
@@ -64,8 +63,8 @@ val verdict : t -> Superschedule.t -> Expr.verdict
 val prunes : t -> Superschedule.t -> bool
 (** [true] when the schedule's cost strictly dominates the baseline's AND
     its numeric magnitude at the workload statistics exceeds the baseline by
-    more than [margin] — the safe criterion under which the point can never
-    be the search's answer.  Never [true] for a structurally illegal
+    more than the margin (32) — the safe criterion under which the point can
+    never be the search's answer.  Never [true] for a structurally illegal
     schedule (that is the lint filter's job). *)
 
 val check : t -> Superschedule.t -> Diag.t list

@@ -6,8 +6,6 @@ open Schedule
 
 type reason = Lint | Asym
 
-let reason_name = function Lint -> "lint" | Asym -> "asym"
-
 type counts = { mutable lint : int; mutable asym : int }
 
 let zero_counts () = { lint = 0; asym = 0 }

@@ -8,8 +8,6 @@ open Schedule
 
 type reason = Lint | Asym
 
-val reason_name : reason -> string
-
 type counts = { mutable lint : int; mutable asym : int }
 
 val zero_counts : unit -> counts

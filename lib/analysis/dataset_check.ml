@@ -10,7 +10,7 @@
 
 open Schedule
 
-let check ?(deep = true) (dir : string) : Diag.t list =
+let check (dir : string) : Diag.t list =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let tuples_path = Filename.concat dir "tuples.txt" in
@@ -79,7 +79,7 @@ let check ?(deep = true) (dir : string) : Diag.t list =
                                     "matrix file %s does not exist" file);
                                Hashtbl.replace matrices name None
                              end
-                             else if deep then
+                             else
                                match Sptensor.Mmio.read_coo path with
                                | m ->
                                    Hashtbl.replace matrices name
@@ -96,8 +96,7 @@ let check ?(deep = true) (dir : string) : Diag.t list =
                                    add
                                      (Diag.error ~code:"WACO-D004" ~loc
                                         "matrix %s unreadable: %s" file msg);
-                                   Hashtbl.replace matrices name None
-                             else Hashtbl.replace matrices name None)
+                                   Hashtbl.replace matrices name None)
                          | _ ->
                              add
                                (Diag.error ~code:"WACO-D009" ~loc

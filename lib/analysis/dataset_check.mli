@@ -4,6 +4,6 @@
     schedule encodings, duplicate (matrix, schedule) tuples, and
     unrecognized records.  Schedule legality ([WACO-S01x]) and — when the
     matrix loads — performance smells ([WACO-P00x]) are re-emitted anchored
-    to the offending line.  [deep:false] skips reading the matrix files. *)
+    to the offending line. *)
 
-val check : ?deep:bool -> string -> Diag.t list
+val check : string -> Diag.t list

@@ -15,6 +15,3 @@ let check_schedule ?dims (s : Superschedule.t) : Diag.t list =
    pass on it is pure waste. *)
 let accepts (s : Superschedule.t) : bool =
   Diag.first_error (Superschedule.check s) = None
-
-let count_rejected (schedules : Superschedule.t array) : int =
-  Array.fold_left (fun acc s -> if accepts s then acc else acc + 1) 0 schedules

@@ -10,5 +10,3 @@ val check_schedule :
 val accepts : Schedule.Superschedule.t -> bool
 (** [true] when the schedule has no error-level legality diagnostic — the
     predicate the search pre-filter applies before any cost-model call. *)
-
-val count_rejected : Schedule.Superschedule.t array -> int

@@ -144,12 +144,13 @@ let best_format machine wl algo =
 
 (* --- Simplified ASpT --- *)
 
-let aspt ?(panel = 256) ?(threshold = 8) machine wl algo =
+let aspt ?(threshold = 8) machine wl algo =
   (match algo with
   | Algorithm.Spmm _ | Algorithm.Sddmm _ -> ()
   | Algorithm.Spmv | Algorithm.Mttkrp _ ->
       invalid_arg "Baselines.aspt: ASpT artifacts cover only SpMM and SDDMM");
   let dims = wl.Workload.dims in
+  let panel = 256 in
   (* Count nonzeros per (row, panel) segment. *)
   let npanels = (dims.(1) + panel - 1) / panel in
   let rows = wl.Workload.coords.(0) and cols = wl.Workload.coords.(1) in

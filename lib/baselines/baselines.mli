@@ -37,8 +37,8 @@ val best_format_candidates :
 
 val best_format : Machine.t -> Workload.t -> Algorithm.t -> tuned
 
-val aspt : ?panel:int -> ?threshold:int -> Machine.t -> Workload.t -> Algorithm.t -> tuned
-(** Column panels of width [panel]; (row, panel) segments with at least
+val aspt : ?threshold:int -> Machine.t -> Workload.t -> Algorithm.t -> tuned
+(** Column panels of width 256; (row, panel) segments with at least
     [threshold] nonzeros form the locality-friendly tiled portion, the rest
     stays CSR.  Raises [Invalid_argument] for SpMV/MTTKRP (the released ASpT
     artifacts cover SpMM and SDDMM only). *)

@@ -69,8 +69,6 @@ let replicate t =
     vm = None;
   }
 
-let param_count t = Nn.Param.total_size (params t)
-
 (* The kernel the head conditions on when the caller doesn't say: the
    model's own algorithm. *)
 let kernel_of t = Kernel.of_algo t.algo

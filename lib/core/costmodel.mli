@@ -32,8 +32,6 @@ val replicate : t -> t
     sections), owns private forward caches.  Replica forwards run the same
     float-op sequence as the original's, so results are bit-identical. *)
 
-val param_count : t -> int
-
 val row_dim : int
 (** Width of a predictor input row
     (feature ++ embedding ++ kernel one-hot). *)

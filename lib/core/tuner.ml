@@ -30,8 +30,8 @@ type index = {
    on per-domain model replicas; insertion stays sequential and in corpus
    order, and replica forwards are bit-identical to the original's, so the
    resulting graph is the same whatever the domain count. *)
-let build_index ?pool ?(m = 12) ?(ef_construction = 60) ?(lint = true) ?asym
-    rng model (corpus : Superschedule.t array) =
+let build_index ?pool ?(lint = true) ?asym rng model
+    (corpus : Superschedule.t array) =
   let t0 = Robust.mono_now () in
   let filters =
     (if lint then [ Asym.Prefilter.lint ] else [])
@@ -44,7 +44,7 @@ let build_index ?pool ?(m = 12) ?(ef_construction = 60) ?(lint = true) ?asym
          (fun s -> Asym.Prefilter.reject filters counts s = None)
          (Array.to_list corpus))
   in
-  let hnsw = Anns.Hnsw.create ~m ~ef_construction ~dim:Config.embed_dim rng in
+  let hnsw = Anns.Hnsw.create ~m:12 ~ef_construction:60 ~dim:Config.embed_dim rng in
   let ed = Config.embed_dim in
   (* Embed in batches to amortize the batched forward. *)
   let bsz = 256 in
@@ -147,9 +147,9 @@ let past deadline_at =
   | None -> false
   | Some d -> Robust.mono_now () >= d
 
-let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
-    ?(measure_backoff_s = 0.01) ?measure_budget_s ?(asym = true) ?deadline_at
-    model machine (wl : Workload.t) (input : Extractor.input) (index : index) =
+let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
+    ?deadline_at model machine (wl : Workload.t) (input : Extractor.input)
+    (index : index) =
   if Anns.Hnsw.size index.hnsw = 0 then
     degraded machine wl model.Costmodel.algo ~reason:"empty search index"
   else if past deadline_at then
@@ -248,8 +248,8 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
     else if past deadline_at then predict_only ~mark_deadline:true
     else begin
     (* Phase 3: measure the top-k on the "hardware" and keep the fastest.
-       Each run goes through a bounded retry-with-backoff (transient
-       measurement errors are absorbed, within the per-run budget); a
+       Each run goes through a bounded retry-with-backoff (three attempts,
+       exponential from 10 ms, within the time the deadline has left); a
        candidate whose runs keep failing is dropped and counted.  Candidates
        are independent, so with a pool they measure in parallel — each
        outcome lands in its candidate's slot and failures are folded in
@@ -269,19 +269,10 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
            the total matches the sequential run whatever the domain count. *)
         let retries = ref 0 in
         let budget_s =
-          (* The per-run retry budget never exceeds the time the deadline
-             has left. *)
-          let remaining =
-            Option.map (fun d -> Float.max 0.0 (d -. Robust.mono_now ())) deadline_at
-          in
-          match (measure_budget_s, remaining) with
-          | Some b, Some r -> Some (Float.min b r)
-          | Some b, None -> Some b
-          | None, r -> r
+          Option.map (fun d -> Float.max 0.0 (d -. Robust.mono_now ())) deadline_at
         in
         match
-          Robust.with_retry ~attempts:(max 1 measure_retries)
-            ~backoff_s:measure_backoff_s ?budget_s
+          Robust.with_retry ~attempts:3 ~backoff_s:0.01 ?budget_s
             ~on_retry:(fun _ _ -> incr retries)
             ~label:("measure " ^ Superschedule.key s)
             (fun () ->
@@ -362,13 +353,11 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(measure_retries = 3)
    input from a raw COO and runs the three-phase search.  [id] keys the
    model's feature memo, so callers that identify matrices by content
    fingerprint get cross-request feature reuse for free. *)
-let query ?pool ?k ?ef ?measure ?measure_retries ?measure_backoff_s
-    ?measure_budget_s ?asym ?deadline_at model machine ~id (m : Sptensor.Coo.t)
+let query ?k ?ef ?measure ?deadline_at model machine ~id (m : Sptensor.Coo.t)
     (index : index) =
   let wl = Workload.of_coo ~id m in
   let input = Extractor.input_of_coo ~id m in
-  tune ?pool ?k ?ef ?measure ?measure_retries ?measure_backoff_s
-    ?measure_budget_s ?asym ?deadline_at model machine wl input index
+  tune ?k ?ef ?measure ?deadline_at model machine wl input index
 
 type batch_query = {
   bq_id : string;
@@ -383,8 +372,7 @@ type batch_query = {
    "one run_batch per kernel slot" — whose time is split evenly over the
    members it computed a feature for.  Per-query deadlines are re-checked
    by [tune]; an expired query merely wastes its share of that work. *)
-let query_batch ?pool ?k ?ef ?measure_retries ?measure_backoff_s
-    ?measure_budget_s ?asym model machine (queries : batch_query array)
+let query_batch ?pool ?k ?ef model machine (queries : batch_query array)
     (index : index) =
   let inputs =
     Array.map (fun q -> Extractor.input_of_coo ~id:q.bq_id q.bq_coo) queries
@@ -397,9 +385,8 @@ let query_batch ?pool ?k ?ef ?measure_retries ?measure_backoff_s
       (fun i q ->
         let wl = Workload.of_coo ~id:q.bq_id q.bq_coo in
         let r =
-          tune ?pool ?k ?ef ~measure:q.bq_measure ?measure_retries
-            ?measure_backoff_s ?measure_budget_s ?asym
-            ?deadline_at:q.bq_deadline_at model machine wl inputs.(i) index
+          tune ?pool ?k ?ef ~measure:q.bq_measure ?deadline_at:q.bq_deadline_at
+            model machine wl inputs.(i) index
         in
         { r with feature_seconds = (if computed.(i) then share else 0.0) })
       queries,

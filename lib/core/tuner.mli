@@ -17,8 +17,7 @@ type index = {
 }
 
 val build_index :
-  ?pool:Parallel.Pool.t -> ?m:int -> ?ef_construction:int -> ?lint:bool ->
-  ?asym:Asym.Analyzer.t ->
+  ?pool:Parallel.Pool.t -> ?lint:bool -> ?asym:Asym.Analyzer.t ->
   Sptensor.Rng.t -> Costmodel.t -> Superschedule.t array -> index
 (** With [lint] (default [true]), corpus schedules carrying error-level
     legality diagnostics ([Analysis.Lint.accepts]) are dropped before any
@@ -65,9 +64,8 @@ val degraded :
     unmeasured ([best_measured = NaN], [measured_runs = 0]). *)
 
 val tune :
-  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int -> ?measure:bool ->
-  ?measure_retries:int -> ?measure_backoff_s:float -> ?measure_budget_s:float ->
-  ?asym:bool -> ?deadline_at:float ->
+  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int -> ?measure:bool -> ?asym:bool ->
+  ?deadline_at:float ->
   Costmodel.t -> Machine.t -> Workload.t -> Extractor.input -> index -> result
 (** [k] defaults to the paper's 10 measured candidates.
 
@@ -94,10 +92,9 @@ val tune :
     with [best_measured = NaN], [topk = []] and [measured_runs = 0].
 
     Each top-k measurement run goes through a bounded retry-with-backoff
-    ([measure_retries] attempts, exponential from [measure_backoff_s],
-    optionally capped by the per-run wall-clock budget [measure_budget_s]);
-    candidates whose runs keep failing are dropped and counted in
-    [measure_failures].  With [pool], the top-k candidates measure in
+    (three attempts, exponential from 10 ms, capped by the time
+    [deadline_at] has left); candidates whose runs keep failing are dropped
+    and counted in [measure_failures].  With [pool], the top-k candidates measure in
     parallel; outcomes are folded in candidate order, so [topk] and
     [measure_failures] match the sequential run.  If the index is empty or
     every measurement fails, the result degrades to the fixed-CSR baseline
@@ -116,9 +113,7 @@ val tune :
     expiry can overshoot by at most one run. *)
 
 val query :
-  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int -> ?measure:bool ->
-  ?measure_retries:int -> ?measure_backoff_s:float -> ?measure_budget_s:float ->
-  ?asym:bool -> ?deadline_at:float ->
+  ?k:int -> ?ef:int -> ?measure:bool -> ?deadline_at:float ->
   Costmodel.t -> Machine.t -> id:string -> Sptensor.Coo.t -> index -> result
 (** The reusable "answer one matrix" entry point ({!tune} over a raw COO):
     builds the workload and extractor input, then runs the three-phase
@@ -135,8 +130,7 @@ type batch_query = {
     deadline, shared model/machine/index. *)
 
 val query_batch :
-  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int -> ?measure_retries:int ->
-  ?measure_backoff_s:float -> ?measure_budget_s:float -> ?asym:bool ->
+  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int ->
   Costmodel.t -> Machine.t -> batch_query array -> index -> result array * int
 (** {!query} over a group of distinct matrices: all unmemoized features come
     from one batched extractor-plan execution (DESIGN.md §14) before the

@@ -159,7 +159,3 @@ let analyze (spec : Spec.t) (coords : int array array) =
 
 let analyze_coo (spec : Spec.t) (m : Sptensor.Coo.t) =
   analyze spec [| m.Sptensor.Coo.rows; m.Sptensor.Coo.cols |]
-
-let analyze_tensor3 (spec : Spec.t) (t : Sptensor.Tensor3.t) =
-  let open Sptensor.Tensor3 in
-  analyze spec [| t.is; t.ks; t.ls |]

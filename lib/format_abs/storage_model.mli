@@ -32,5 +32,3 @@ val analyze : Spec.t -> int array array -> t
     {!distinct_prefix_counts}); the arrays are read, never written. *)
 
 val analyze_coo : Spec.t -> Sptensor.Coo.t -> t
-
-val analyze_tensor3 : Spec.t -> Sptensor.Tensor3.t -> t

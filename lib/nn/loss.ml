@@ -1,17 +1,14 @@
-(* Pairwise ranking losses (§4.1.3).  The cost model is trained to order
+(* The pairwise ranking loss (§4.1.3).  The cost model is trained to order
    SuperSchedules, not to regress absolute runtimes:
 
      L = sum over pairs (s_j, s_k) of  sign(y_j - y_k) * phi(yhat_j - yhat_k)
 
-   with phi the hinge max(0, 1 - x) (the paper's choice) or the logistic
-   log(1 + exp(-x)).  [grad] returns dL/dyhat for a batch of pairs. *)
-
-type phi = Hinge | Logistic
+   with phi the paper's hinge max(0, 1 - x).  [pairwise] also returns
+   dL/dyhat for a batch of pairs. *)
 
 (* Returns (loss, dpred) where predictions are laid out pair-major:
    pred.(2*p) is yhat_j, pred.(2*p+1) is yhat_k. *)
-let pairwise ?(phi = Hinge) ?(min_gap = 0.0) ~(truth : float array)
-    ~(pred : float array) () =
+let pairwise ?(min_gap = 0.0) ~(truth : float array) ~(pred : float array) () =
   let n2 = Array.length pred in
   if n2 mod 2 <> 0 || Array.length truth <> n2 then
     invalid_arg "Loss.pairwise: expected pair-major layout";
@@ -23,23 +20,12 @@ let pairwise ?(phi = Hinge) ?(min_gap = 0.0) ~(truth : float array)
     let hj = pred.(2 * p) and hk = pred.((2 * p) + 1) in
     (* sign(y_j - y_k): per the paper, 1 when j is slower, else 0 — pairs are
        oriented so the slower schedule must be predicted larger by margin 1. *)
-    let sign = if yj -. yk > min_gap then 1.0 else 0.0 in
-    if sign > 0.0 then begin
-      let x = hj -. hk in
-      match phi with
-      | Hinge ->
-          if 1.0 -. x > 0.0 then begin
-            loss := !loss +. (1.0 -. x);
-            dpred.(2 * p) <- dpred.(2 * p) -. 1.0;
-            dpred.((2 * p) + 1) <- dpred.((2 * p) + 1) +. 1.0
-          end
-      | Logistic ->
-          let l = log (1.0 +. exp (-.x)) in
-          loss := !loss +. l;
-          let g = -.(1.0 /. (1.0 +. exp x)) in
-          dpred.(2 * p) <- dpred.(2 * p) +. g;
-          dpred.((2 * p) + 1) <- dpred.((2 * p) + 1) -. g
-      end
+    let x = hj -. hk in
+    if yj -. yk > min_gap && 1.0 -. x > 0.0 then begin
+      loss := !loss +. (1.0 -. x);
+      dpred.(2 * p) <- dpred.(2 * p) -. 1.0;
+      dpred.((2 * p) + 1) <- dpred.((2 * p) + 1) +. 1.0
+    end
   done;
   let scale = 1.0 /. float_of_int (max 1 npairs) in
   Array.iteri (fun i g -> dpred.(i) <- g *. scale) dpred;

@@ -1,10 +1,7 @@
-(** Pairwise ranking losses (§4.1.3): the cost model learns to *order*
+(** The pairwise ranking loss (§4.1.3): the cost model learns to *order*
     SuperSchedules, not to regress absolute runtimes. *)
 
-type phi = Hinge | Logistic
-
 val pairwise :
-  ?phi:phi ->
   ?min_gap:float ->
   truth:float array ->
   pred:float array ->

@@ -22,8 +22,6 @@ let zero_grads params = List.iter zero_grad params
 
 let size t = Array.length t.data
 
-let total_size params = List.fold_left (fun acc p -> acc + size p) 0 params
-
 (* Flat serialization used by model save/load. *)
 let dump t buf =
   Buffer.add_string buf (Printf.sprintf "%s %d\n" t.name (size t));

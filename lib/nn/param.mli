@@ -16,8 +16,6 @@ val zero_grads : t list -> unit
 
 val size : t -> int
 
-val total_size : t list -> int
-
 val dump : t -> Buffer.t -> unit
 
 val grad_l2 : t list -> float

@@ -169,5 +169,3 @@ let run_batch t ~batch =
   begin_batch t ~batch;
   if batch > 0 then exec t ~batch t.batched;
   Arena.get t.arena t.out.buf
-
-let out_view t = t.out

@@ -104,5 +104,3 @@ val run_batch : t -> batch:int -> float array
 (** Execute the batched tape over [batch] rows and return the output view's
     backing buffer (borrowed: valid until the next execution or growth).
     Steady state allocates zero bytes. *)
-
-val out_view : t -> view

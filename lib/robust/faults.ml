@@ -67,8 +67,6 @@ let refresh () =
     || (st.net_cap >= 0 && st.net_cap_ops > 0)
     || st.net_drop_at > 0 || st.wall_skew_s <> 0.0
 
-let enabled () = st.active
-
 let reset () =
   with_lock (fun () ->
       st.fail_nth <- 0;

@@ -16,9 +16,6 @@ exception Injected of string
 exception Transient of string
 (** A recoverable hiccup; retry wrappers may absorb it. *)
 
-val enabled : unit -> bool
-(** [true] while any fault is armed. *)
-
 val reset : unit -> unit
 (** Disarm everything and zero the write counter. *)
 

@@ -112,11 +112,11 @@ let crc32_hex s = Printf.sprintf "%08x" (crc32 s)
 
 (* --- filesystem primitives --- *)
 
-let rec mkdir_p ?(perm = 0o755) dir =
+let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
   else begin
-    mkdir_p ~perm (Filename.dirname dir);
-    try Sys.mkdir dir perm
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755
     with Sys_error _ when Sys.is_directory dir -> () (* lost a creation race *)
   end
 
@@ -191,7 +191,7 @@ let field ~prefix tok =
                (String.length tok - String.length prefix))
   else None
 
-let read_artifact ?expected_kind ?(expected_version = artifact_version) path =
+let read_artifact ?expected_kind path =
   match read_file path with
   | Error e -> Error e
   | Ok contents -> (
@@ -222,10 +222,10 @@ let read_artifact ?expected_kind ?(expected_version = artifact_version) path =
                 let crc = field ~prefix:"crc32=" crc_tok in
                 match (version, kind, bytes, crc) with
                 | Some version, Some kind, Some bytes, Some crc ->
-                    if version <> expected_version then
+                    if version <> artifact_version then
                       Error
                         (Version_mismatch
-                           { file = path; found = version; expected = expected_version })
+                           { file = path; found = version; expected = artifact_version })
                     else if
                       match expected_kind with
                       | Some k -> k <> kind
@@ -272,8 +272,8 @@ let read_artifact ?expected_kind ?(expected_version = artifact_version) path =
                   (Malformed
                      { file = path; reason = "malformed envelope header" })))
 
-let read_artifact_exn ?expected_kind ?expected_version path =
-  match read_artifact ?expected_kind ?expected_version path with
+let read_artifact_exn ?expected_kind path =
+  match read_artifact ?expected_kind path with
   | Ok payload -> payload
   | Error e -> raise (Load_error e)
 
@@ -330,15 +330,13 @@ let jitter_unit ~seed ~attempt =
   let z = z lxor (z lsr 13) in
   float_of_int (z land 0xFFFFFF) /. float_of_int 0x1000000
 
-let backoff_delay ?(base_s = 0.01) ?(max_s = 2.0) ?(jitter = 0.5) ?(seed = 0)
-    ~attempt () =
+let backoff_delay ?(base_s = 0.01) ?(max_s = 2.0) ?(seed = 0) ~attempt () =
   if attempt < 1 then invalid_arg "Robust.backoff_delay: attempt must be >= 1";
   let exp = base_s *. (2.0 ** float_of_int (attempt - 1)) in
   let capped = Float.min max_s exp in
-  let jitter = Float.max 0.0 (Float.min 1.0 jitter) in
   (* Jitter shrinks the delay (never extends it), so a capped schedule still
      respects its cap and a budgeted loop never over-sleeps. *)
-  capped *. (1.0 -. (jitter *. jitter_unit ~seed ~attempt))
+  capped *. (1.0 -. (0.5 *. jitter_unit ~seed ~attempt))
 
 (* Exponential from [backoff_s] under the default 2 s cap, with a
    label-derived jitter seed: deterministic for a given label (the fault

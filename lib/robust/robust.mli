@@ -55,8 +55,8 @@ val crc32_hex : string -> string
 
 (** {2 Filesystem primitives} *)
 
-val mkdir_p : ?perm:int -> string -> unit
-(** Recursive [mkdir]; existing directories are fine. *)
+val mkdir_p : string -> unit
+(** Recursive [mkdir] (mode 0o755); existing directories are fine. *)
 
 val write_atomic_string : string -> string -> unit
 (** [write_atomic_string path content]: temp file in [path]'s directory →
@@ -92,14 +92,12 @@ val write_artifact : kind:string -> ?version:int -> string -> string -> unit
     atomically. *)
 
 val read_artifact :
-  ?expected_kind:string -> ?expected_version:int -> string ->
-  (string, load_error) result
-(** Verifies envelope version, kind, byte count and checksum, returning the
-    payload.  [Not_an_artifact] signals a pre-envelope legacy file the caller
-    may fall back on. *)
+  ?expected_kind:string -> string -> (string, load_error) result
+(** Verifies envelope version ({!artifact_version}), kind, byte count and
+    checksum, returning the payload.  [Not_an_artifact] signals a
+    pre-envelope legacy file the caller may fall back on. *)
 
-val read_artifact_exn :
-  ?expected_kind:string -> ?expected_version:int -> string -> string
+val read_artifact_exn : ?expected_kind:string -> string -> string
 (** Raising variant ({!Load_error}). *)
 
 val lines : string -> string array
@@ -133,11 +131,10 @@ end
 (** {2 Retry} *)
 
 val backoff_delay :
-  ?base_s:float -> ?max_s:float -> ?jitter:float -> ?seed:int ->
-  attempt:int -> unit -> float
+  ?base_s:float -> ?max_s:float -> ?seed:int -> attempt:int -> unit -> float
 (** The delay before retry [attempt] (1-based): exponential from [base_s]
     (default 10 ms), capped at [max_s] (default 2 s), then shrunk by up to
-    [jitter] (a fraction in [0,1], default 0.5) of itself using a
+    half of itself using a
     deterministic hash of [(seed, attempt)] — seedable, clock-free jitter,
     so retry schedules are exactly reproducible yet different seeds never
     hammer a shared resource in lockstep.  Jitter only shortens the delay,

@@ -19,8 +19,6 @@ type result = {
 
 type budgeted_eval = {
   eval : Superschedule.t -> float;
-  prefilter : (Superschedule.t -> bool) option;
-      (* legacy single legality filter; counted as a lint rejection *)
   filters : Asym.Prefilter.t list;
   counts : Asym.Prefilter.counts;
   mutable eval_time : float;
@@ -29,8 +27,8 @@ type budgeted_eval = {
   cache : (string, float) Hashtbl.t;
 }
 
-let make_eval ?prefilter ?(filters = []) eval =
-  { eval; prefilter; filters; counts = Asym.Prefilter.zero_counts ();
+let make_eval ?(filters = []) eval =
+  { eval; filters; counts = Asym.Prefilter.zero_counts ();
     eval_time = 0.0; eval_count = 0; rejected = 0;
     cache = Hashtbl.create 256 }
 
@@ -39,14 +37,7 @@ let make_eval ?prefilter ?(filters = []) eval =
    no evaluation at all: they score [infinity], so best-tracking and the
    estimator refits push away from them for free. *)
 let run_eval be s =
-  let rejected =
-    match be.prefilter with
-    | Some ok when not (ok s) ->
-        Asym.Prefilter.tally be.counts Asym.Prefilter.Lint;
-        true
-    | _ -> Asym.Prefilter.reject be.filters be.counts s <> None
-  in
-  if rejected then begin
+  if Asym.Prefilter.reject be.filters be.counts s <> None then begin
     be.rejected <- be.rejected + 1;
     infinity
   end

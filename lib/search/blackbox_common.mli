@@ -19,8 +19,6 @@ type result = {
 
 type budgeted_eval = {
   eval : Superschedule.t -> float;
-  prefilter : (Superschedule.t -> bool) option;
-      (** legacy single legality filter; rejections count as lint *)
   filters : Asym.Prefilter.t list;
   counts : Asym.Prefilter.counts;
   mutable eval_time : float;
@@ -30,14 +28,12 @@ type budgeted_eval = {
 }
 
 val make_eval :
-  ?prefilter:(Superschedule.t -> bool) ->
   ?filters:Asym.Prefilter.t list ->
   (Superschedule.t -> float) ->
   budgeted_eval
 (** [filters] run in order through the unified pre-filter plumbing
     ({!Asym.Prefilter}); the first rejection wins and is tallied per
-    reason.  [prefilter] is the legacy single-predicate form, counted as a
-    lint rejection. *)
+    reason. *)
 
 val run_eval : budgeted_eval -> Superschedule.t -> float
 (** Cached and timed; repeated queries of the same schedule are free.

@@ -14,17 +14,17 @@ open Sptensor
 open Schedule
 
 (* All strategies share the same pre-filter stack (unified plumbing in
-   [Asym.Prefilter]): the lint filter (on by default) rejects schedules
+   [Asym.Prefilter]): the lint filter (always on) rejects schedules
    whose error-level legality diagnostics mean they can never execute, and
    an optional asymptotic analyzer rejects schedules symbolically dominated
    by the fixed-CSR baseline — either way the proposal scores [infinity]
    without touching the cost evaluation. *)
-let filters_of lint asym =
-  (if lint then [ Asym.Prefilter.lint ] else [])
-  @ match asym with Some a -> [ Asym.Prefilter.asym a ] | None -> []
+let filters_of asym =
+  Asym.Prefilter.lint
+  :: (match asym with Some a -> [ Asym.Prefilter.asym a ] | None -> [])
 
-let random_search ?(lint = true) ?asym rng algo ~dims ~eval ~budget =
-  let be = Blackbox_common.make_eval ~filters:(filters_of lint asym) eval in
+let random_search ?asym rng algo ~dims ~eval ~budget =
+  let be = Blackbox_common.make_eval ~filters:(filters_of asym) eval in
   Blackbox_common.drive ~name:"Random" ~budget be ~propose:(fun _ ->
       Space.sample rng algo ~dims)
 
@@ -36,14 +36,13 @@ let quantile_split observations ~gamma =
   let ngood = max 1 (int_of_float (gamma *. float_of_int n)) in
   List.filteri (fun i _ -> i < ngood) sorted |> List.map fst
 
-let tpe ?(gamma = 0.25) ?(explore = 0.15) ?(lint = true) ?asym rng algo ~dims
-    ~eval ~budget =
-  let be = Blackbox_common.make_eval ~filters:(filters_of lint asym) eval in
+let tpe ?asym rng algo ~dims ~eval ~budget =
+  let be = Blackbox_common.make_eval ~filters:(filters_of asym) eval in
   let propose observations =
-    if List.length observations < 8 || Rng.float rng < explore then
+    if List.length observations < 8 || Rng.float rng < 0.15 then
       Space.sample rng algo ~dims
     else begin
-      let goods = Array.of_list (quantile_split observations ~gamma) in
+      let goods = Array.of_list (quantile_split observations ~gamma:0.25) in
       (* Draw each parameter from the good-trial empirical distribution,
          smoothed with a uniform-random fallback. *)
       let draw f fallback =
@@ -82,8 +81,8 @@ let tpe ?(gamma = 0.25) ?(explore = 0.15) ?(lint = true) ?asym rng algo ~dims
 
 (* --- OpenTuner-like bandit ensemble --- *)
 
-let bandit ?(window = 50) ?(lint = true) ?asym rng algo ~dims ~eval ~budget =
-  let be = Blackbox_common.make_eval ~filters:(filters_of lint asym) eval in
+let bandit ?asym rng algo ~dims ~eval ~budget =
+  let be = Blackbox_common.make_eval ~filters:(filters_of asym) eval in
   let n_ops = 4 in
   let uses = Array.make n_ops 0 and wins = Array.make n_ops 0 in
   let recent : (int * bool) Queue.t = Queue.create () in
@@ -128,7 +127,7 @@ let bandit ?(window = 50) ?(lint = true) ?asym rng algo ~dims ~eval ~budget =
         if improved then best_cost := c;
         Queue.add (!last_op, improved) recent;
         if improved then wins.(!last_op) <- wins.(!last_op) + 1;
-        if Queue.length recent > window then begin
+        if Queue.length recent > 50 then begin
           let o, w = Queue.take recent in
           if w then wins.(o) <- max 0 (wins.(o) - 1)
         end

@@ -6,28 +6,27 @@ open Sptensor
 open Schedule
 
 val random_search :
-  ?lint:bool -> ?asym:Asym.Analyzer.t ->
+  ?asym:Asym.Analyzer.t ->
   Rng.t -> Algorithm.t -> dims:int array ->
   eval:(Superschedule.t -> float) -> budget:int -> Blackbox_common.result
 
 val tpe :
-  ?gamma:float -> ?explore:float -> ?lint:bool -> ?asym:Asym.Analyzer.t ->
+  ?asym:Asym.Analyzer.t ->
   Rng.t -> Algorithm.t -> dims:int array ->
   eval:(Superschedule.t -> float) -> budget:int -> Blackbox_common.result
 (** HyperOpt-style estimator of distributions: each parameter is resampled
-    from the best-[gamma]-quantile trials (with an [explore] fraction of
-    uniform restarts). *)
+    from the best-quartile trials (with 15 % uniform restarts). *)
 
 val bandit :
-  ?window:int -> ?lint:bool -> ?asym:Asym.Analyzer.t ->
+  ?asym:Asym.Analyzer.t ->
   Rng.t -> Algorithm.t -> dims:int array ->
   eval:(Superschedule.t -> float) -> budget:int -> Blackbox_common.result
 (** OpenTuner-style ensemble: random / mutate-best / mutate-good / crossover
-    operators picked by a UCB1 bandit over a sliding improvement window.
+    operators picked by a UCB1 bandit over a 50-trial improvement window.
 
-    All strategies take [?lint] (default [true]): schedules with error-level
-    legality diagnostics ([Analysis.Lint.accepts]) score [infinity] without
-    a cost evaluation.  With [?asym], schedules the analyzer proves
-    asymptotically dominated by the fixed-CSR baseline are likewise rejected
-    before evaluation.  Totals land in [result.rejected], per-reason counts
-    in [result.rejected_lint] / [result.rejected_asym]. *)
+    In every strategy, schedules with error-level legality diagnostics
+    ([Analysis.Lint.accepts]) score [infinity] without a cost evaluation.
+    With [?asym], schedules the analyzer proves asymptotically dominated
+    by the fixed-CSR baseline are likewise rejected before evaluation.
+    Totals land in [result.rejected], per-reason counts in
+    [result.rejected_lint] / [result.rejected_asym]. *)

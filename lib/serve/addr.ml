@@ -61,7 +61,17 @@ let family = function
 let nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
+(* A write to a peer that has gone must surface as [Unix_error EPIPE] on
+   that one connection, not kill the whole process with SIGPIPE.  Every
+   socket the serving tier opens comes from [listen] or [connect], so both
+   set the process-wide disposition, and nothing restores it: a daemon
+   leaving its loop must not re-arm the signal under a client still
+   writing in the same process. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
+
 let listen ?(backlog = 64) t =
+  ignore_sigpipe ();
   (match t with
   | Unix_path p ->
       (try if Sys.file_exists p then Sys.remove p with Sys_error _ -> ());
@@ -97,6 +107,7 @@ let cleanup = function
 (* Bounded non-blocking connect, shared by the query client and the router's
    shard links: never an unbounded hang on a dead or unreachable peer. *)
 let connect ?(timeout_s = 5.0) t =
+  ignore_sigpipe ();
   let fd = Unix.socket (family t) Unix.SOCK_STREAM 0 in
   try
     Unix.set_nonblock fd;

@@ -1,7 +1,12 @@
 (** Endpoint specs shared by every serving-tier flag: a bare path or
     [unix:PATH] is a Unix-domain socket, [tcp:HOST:PORT] a TCP endpoint
     ([PORT] 0 = kernel-chosen ephemeral port).  The wire protocol and every
-    robustness property above the fd are transport-blind. *)
+    robustness property above the fd are transport-blind.
+
+    {!listen} and {!connect} set SIGPIPE to ignored for the whole process,
+    and nothing restores it: a write to a peer that has gone raises
+    [Unix_error (EPIPE, _, _)] on that connection instead of killing the
+    process. *)
 
 type t = Unix_path of string | Tcp of { host : string; port : int }
 

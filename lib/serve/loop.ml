@@ -99,17 +99,15 @@ type event = Stalled | Reaped_idle | Reaped_trickle | Refused_fdset
 type io = {
   idle_timeout_s : float;
   frame_timeout_s : float;
-  write_timeout_s : float;
   log : string -> unit;
   count : event -> unit;
   chunk : Bytes.t;  (* the one read buffer of this loop *)
 }
 
-let io ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log ~count =
+let io ~idle_timeout_s ~frame_timeout_s ~log ~count =
   {
     idle_timeout_s;
     frame_timeout_s;
-    write_timeout_s;
     log;
     count;
     chunk = Bytes.create 65536;
@@ -148,15 +146,15 @@ let read_client io c on_bytes =
 exception Write_stall
 
 (* Bounded non-blocking write: the whole frame goes out, or the peer is
-   declared stalled after [write_timeout_s] of not draining.  Connection
+   declared stalled after 5 s of not draining.  Connection
    fds are permanently non-blocking, so a full socket buffer surfaces as
    EAGAIN and we wait for writability with the remaining budget — never
    for longer.  The [Faults] hooks simulate capped partial writes and a
    drop mid-frame. *)
-let write_bounded io fd s =
+let write_bounded fd s =
   let n = String.length s in
   let b = Bytes.unsafe_of_string s in
-  let deadline = Robust.mono_now () +. io.write_timeout_s in
+  let deadline = Robust.mono_now () +. 5.0 in
   let rec go off =
     if off < n then begin
       if Robust.Faults.net_drop_tick () then
@@ -185,7 +183,7 @@ let write_bounded io fd s =
    drains is counted as a write stall, one that went away is just gone. *)
 let send io c frame =
   if c.alive then
-    match write_bounded io c.fd frame with
+    match write_bounded c.fd frame with
     | () -> ()
     | exception Write_stall ->
         io.count Stalled;
@@ -239,12 +237,6 @@ let accept_all io listen_fd data conns =
 
 let run io ~endpoint ~on_listen ~stopping ~accept ~on_bytes ~links
     ~after_round ~on_exit =
-  (* A dying peer must not kill the daemon with SIGPIPE; writes surface
-     EPIPE instead, handled per connection. *)
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
   let addr = Addr.of_string endpoint in
   let listen_fd = Addr.listen addr in
   let addr = Addr.resolve_bound addr listen_fd in
@@ -254,11 +246,7 @@ let run io ~endpoint ~on_listen ~stopping ~accept ~on_bytes ~links
     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
     Addr.cleanup addr;
     List.iter close !conns;
-    on_exit ();
-    match prev_sigpipe with
-    | Some h -> (
-        try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-    | None -> ()
+    on_exit ()
   in
   (* The select timeout doubles as the reaper tick: fine-grained enough to
      honor short test timeouts, never busier than once per 20 ms. *)

@@ -57,7 +57,6 @@ type event =
 type io = private {
   idle_timeout_s : float;
   frame_timeout_s : float;
-  write_timeout_s : float;
   log : string -> unit;
   count : event -> unit;
   chunk : Bytes.t;
@@ -67,7 +66,6 @@ type io = private {
 val io :
   idle_timeout_s:float ->
   frame_timeout_s:float ->
-  write_timeout_s:float ->
   log:(string -> unit) ->
   count:(event -> unit) ->
   io
@@ -77,8 +75,8 @@ val pump : io -> cap:int -> 'a conn -> ('a conn -> unit) -> bool
     arrived, then the partial-frame clock is updated.  False on end of
     stream or reset; a spurious wakeup is true. *)
 
-val write_bounded : io -> Unix.file_descr -> string -> unit
-(** The whole string goes out within [write_timeout_s], or it raises: a
+val write_bounded : Unix.file_descr -> string -> unit
+(** The whole string goes out within 5 s, or it raises: a
     private exception when the peer stops draining, [Unix_error (EPIPE |
     ECONNRESET)] when it is gone. *)
 
@@ -104,5 +102,5 @@ val run :
     new connection's state from [accept]), run the readable [links]' own
     callbacks, read readable clients ([on_bytes] peels), [after_round],
     then reap.  On any exit the listen socket closes (a Unix socket file is
-    unlinked), every client closes, then [on_exit] runs.  SIGPIPE is
-    ignored for the duration. *)
+    unlinked), every client closes, then [on_exit] runs.  SIGPIPE stays
+    ignored after the bind ({!Addr.listen}). *)

@@ -144,9 +144,6 @@ type t = {
   mutable ring : Ring.t option;  (* over live shards; [None] = all down *)
   max_pending : int;
   failover_hops : int;
-  connect_timeout_s : float;
-  reconnect_base_s : float;
-  reconnect_max_s : float;
   io : Loop.io;
   mutable outstanding : int;  (* query slots awaiting a settle *)
   mutable stopping : bool;
@@ -166,10 +163,8 @@ type t = {
 
 let bound_endpoint t = t.bound
 
-let create ?(max_pending = 1024) ?(failover_hops = 1) ?(idle_timeout_s = 60.0)
-    ?(frame_timeout_s = 10.0) ?(write_timeout_s = 5.0)
-    ?(connect_timeout_s = 2.0) ?(reconnect_base_s = 0.05)
-    ?(reconnect_max_s = 2.0) ?(log = ignore) ~listen ~shards () =
+let create ?(max_pending = 1024) ?(failover_hops = 1) ?(log = ignore) ~listen
+    ~shards () =
   if shards = [] then invalid_arg "Router.create: no shards";
   let seen = Hashtbl.create 8 in
   List.iter
@@ -202,11 +197,8 @@ let create ?(max_pending = 1024) ?(failover_hops = 1) ?(idle_timeout_s = 60.0)
     ring = None;
     max_pending = max 1 max_pending;
     failover_hops = max 0 failover_hops;
-    connect_timeout_s;
-    reconnect_base_s;
-    reconnect_max_s;
     io =
-      Loop.io ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log
+      Loop.io ~idle_timeout_s:60.0 ~frame_timeout_s:10.0 ~log
         ~count:(Metrics.count_io metrics);
     outstanding = 0;
     stopping = false;
@@ -358,12 +350,11 @@ let shard_by_name t name =
 let retry_hint t = min 2000 (50 * (1 + (t.outstanding / 32)))
 
 (* Count one more failed dial (or death) and pace the next redial. *)
-let backoff t sh =
+let backoff sh =
   sh.attempt <- sh.attempt + 1;
   sh.next_try <-
     Robust.mono_now ()
-    +. Robust.backoff_delay ~base_s:t.reconnect_base_s
-         ~max_s:t.reconnect_max_s ~seed:(Hashtbl.hash sh.name)
+    +. Robust.backoff_delay ~base_s:0.05 ~max_s:2.0 ~seed:(Hashtbl.hash sh.name)
          ~attempt:sh.attempt ()
 
 (* Relay a query slot to the shard owning its key.  On a relay failure the
@@ -386,7 +377,7 @@ let rec forward t slot =
           Queue.add (Iquery slot) sh.inflight;
           sh.routed <- sh.routed + 1;
           t.c_routed <- t.c_routed + 1;
-          match Loop.write_bounded t.io link.fd slot.raw with
+          match Loop.write_bounded link.fd slot.raw with
           | () -> ()
           | exception _ -> shard_down t sh))
 
@@ -421,7 +412,7 @@ and failover t sh slot =
 and shard_down t sh =
   Option.iter Loop.close sh.link;
   sh.link <- None;
-  backoff t sh;
+  backoff sh;
   t.c_shard_deaths <- t.c_shard_deaths + 1;
   rebuild_ring t;
   t.io.log (Printf.sprintf "shard %s down (%d in flight)" sh.name
@@ -443,7 +434,7 @@ and shard_down t sh =
 (* Dial a down shard; a link fd the loop's [select] cannot watch is a
    failed dial like any other. *)
 let try_connect t sh =
-  match Addr.connect ~timeout_s:t.connect_timeout_s sh.addr with
+  match Addr.connect ~timeout_s:2.0 sh.addr with
   | fd when Loop.selectable fd ->
       Unix.set_nonblock fd;
       sh.link <- Some (Loop.conn fd ());
@@ -454,8 +445,8 @@ let try_connect t sh =
       t.c_reconnects <- t.c_reconnects + 1
   | fd ->
       Unix.close fd;
-      backoff t sh
-  | exception _ -> backoff t sh
+      backoff sh
+  | exception _ -> backoff sh
 
 let reconnect_pass t =
   let now = Robust.mono_now () in
@@ -537,7 +528,7 @@ let handle_stats t conn =
             in
             if has_fan then
               match
-                Loop.write_bounded t.io link.fd
+                Loop.write_bounded link.fd
                   (Protocol.request_to_frame Protocol.Stats)
               with
               | () -> ()
@@ -572,7 +563,7 @@ let drain_client_frames t (conn : conn) =
                 settle_resp t slot Protocol.Bye)
         | Error e ->
             Metrics.bump t.metrics (fun m ->
-                m.request_errors <- m.request_errors + 1);
+                m.protocol_errors <- m.protocol_errors + 1);
             let slot = push_slot conn in
             settle_resp t slot (Protocol.Error_msg ("request: " ^ e)))
   done
@@ -646,15 +637,14 @@ let reap_links t =
       | _ -> ())
     t.shards
 
-let run ?(on_ready = ignore) t =
+let run t =
   Loop.run t.io ~endpoint:t.listen
     ~on_listen:(fun bound ->
       Array.iter (try_connect t) t.shards;
       t.bound <- Some bound;
       t.io.log
         (Printf.sprintf "routing on %s over %d shard(s), %d up" bound
-           (Array.length t.shards) (live_count t));
-      on_ready ())
+           (Array.length t.shards) (live_count t)))
     ~stopping:(fun () -> t.stopping)
     ~accept:Queue.create ~on_bytes:(drain_client_frames t)
     ~links:(fun () -> links t)

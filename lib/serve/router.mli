@@ -50,12 +50,6 @@ type t
 val create :
   ?max_pending:int ->
   ?failover_hops:int ->
-  ?idle_timeout_s:float ->
-  ?frame_timeout_s:float ->
-  ?write_timeout_s:float ->
-  ?connect_timeout_s:float ->
-  ?reconnect_base_s:float ->
-  ?reconnect_max_s:float ->
   ?log:(string -> unit) ->
   listen:string ->
   shards:string list ->
@@ -67,14 +61,16 @@ val create :
     shard's relayed [Busy] always carries the shard's hint, never a
     synthesized one).  [failover_hops] (default 1) bounds how many
     {e additional} shards a predict-only query may be retried on after a
-    shard death.  The timeout knobs mirror {!Server.create}'s reaper and
-    bounded-writer contract; [reconnect_base_s]/[reconnect_max_s] (defaults
-    0.05/2.0) pace the redial of dead shards.  Raises [Invalid_argument]
+    shard death.  Client connections are reaped after 60 s of silence or
+    10 s stalled mid-frame, and a write waits at most 5 s for its peer to
+    drain, as {!Server.create}'s defaults.  A shard dial times out after
+    2 s, and dead shards are redialed with backoff from 0.05 s capped at
+    2 s.  Raises [Invalid_argument]
     on an empty or duplicate-laden shard list or a malformed spec. *)
 
-val run : ?on_ready:(unit -> unit) -> t -> unit
+val run : t -> unit
 (** Bind, dial every shard once (a shard down at startup is logged and
-    redialed, not fatal), call [on_ready], route until [shutdown].  On
+    redialed, not fatal), then route until [shutdown].  On
     exit every connection is closed and a Unix listen socket unlinked. *)
 
 val bound_endpoint : t -> string option

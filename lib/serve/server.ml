@@ -83,7 +83,7 @@ let index_digest (index : Waco.Tuner.index) =
 
 let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
     ?(ef = 40) ?(max_pending = 256) ?(idle_timeout_s = 60.0)
-    ?(frame_timeout_s = 10.0) ?(write_timeout_s = 5.0) ?(log = ignore)
+    ?(frame_timeout_s = 10.0) ?(log = ignore)
     ?(extra = []) ~model ~index ~index_file ~machine ~socket () =
   let mk_slot (m, idx, idx_file) =
     Waco.Tuner.validate_compat m ~index_file:idx_file idx;
@@ -166,7 +166,7 @@ let create ?pool ?(cache_capacity = 512) ?cache_file ?(max_batch = 32) ?(k = 10)
     ef;
     max_pending = max 1 max_pending;
     io =
-      Loop.io ~idle_timeout_s ~frame_timeout_s ~write_timeout_s ~log
+      Loop.io ~idle_timeout_s ~frame_timeout_s ~log
         ~count:(Metrics.count_io metrics);
     queue = Queue.create ();
     pending_queries = 0;
@@ -610,12 +610,11 @@ let drain_queue t =
         List.iter2 (fun conn resp -> send t conn resp) conns responses
   done
 
-let run ?(on_ready = ignore) t =
+let run t =
   Loop.run t.io ~endpoint:t.socket_path
     ~on_listen:(fun bound ->
       t.bound <- Some bound;
-      t.io.log (Printf.sprintf "listening on %s" bound);
-      on_ready ())
+      t.io.log (Printf.sprintf "listening on %s" bound))
     ~stopping:(fun () -> t.stopping)
     ~accept:ignore ~on_bytes:(drain_frames t)
     ~links:(fun () -> [])

@@ -34,7 +34,6 @@ val create :
   ?max_pending:int ->
   ?idle_timeout_s:float ->
   ?frame_timeout_s:float ->
-  ?write_timeout_s:float ->
   ?log:(string -> unit) ->
   ?extra:(Waco.Costmodel.t * Waco.Tuner.index * string) list ->
   model:Waco.Costmodel.t ->
@@ -71,9 +70,9 @@ val create :
     observable and stoppable).  [idle_timeout_s] (default 60) reaps a
     connection that has sent nothing at all; [frame_timeout_s] (default 10)
     reaps one stalled in the middle of a frame — a trickler feeding a byte
-    per tick never completes a frame and dies here; [write_timeout_s]
-    (default 5) bounds how long one response write may wait for the client
-    to drain before the connection is dropped. *)
+    per tick never completes a frame and dies here.  One response write
+    waits at most 5 s for the client to drain before the connection is
+    dropped. *)
 
 val process_batch : t -> Protocol.query list -> Protocol.response list
 (** One micro-batch through the request scheduler, bypassing the socket —
@@ -85,13 +84,13 @@ val process_batch : t -> Protocol.query list -> Protocol.response list
     [deadline_ms] budget starts at this call; the socket path stamps
     arrival at frame decode instead, charging queue wait to the budget. *)
 
-val run : ?on_ready:(unit -> unit) -> t -> unit
-(** Bind the endpoint (removing a stale socket file first for Unix paths),
-    call [on_ready], and serve until a [Shutdown] request arrives.  On
+val run : t -> unit
+(** Bind the endpoint (removing a stale socket file first for Unix paths)
+    and serve until a [Shutdown] request arrives.  On
     exit: cache persisted, connections closed, Unix socket unlinked — also
-    on exceptional exit.  SIGPIPE is ignored for the duration (dying
-    clients surface as [EPIPE] on their own connection, not a daemon
-    kill). *)
+    on exceptional exit.  SIGPIPE is ignored from the bind on ({!Addr}), so
+    dying clients surface as [EPIPE] on their own connection, not a daemon
+    kill. *)
 
 val bound_endpoint : t -> string option
 (** The endpoint {!run} actually bound — [Some] once listening.  Differs

@@ -38,10 +38,6 @@ let add_to m i j v =
   let k = (i * m.cols) + j in
   m.data.(k) <- m.data.(k) +. v
 
-let mat_copy m = { m with data = Array.copy m.data }
-
-let mat_fill m v = Array.fill m.data 0 (Array.length m.data) v
-
 (* Max absolute elementwise difference; infinity on shape mismatch. *)
 let mat_max_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then infinity
@@ -62,17 +58,3 @@ let vec_max_diff a b =
 let vec_approx_equal ?(eps = 1e-6) a b = vec_max_diff a b <= eps
 
 let mat_approx_equal ?(eps = 1e-6) a b = mat_max_diff a b <= eps
-
-let pp_vec ppf v =
-  Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any "; ") float) v
-
-let pp_mat ppf m =
-  Fmt.pf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Fmt.pf ppf "|";
-    for j = 0 to m.cols - 1 do
-      Fmt.pf ppf " %6.2f" (get m i j)
-    done;
-    Fmt.pf ppf " |@,"
-  done;
-  Fmt.pf ppf "@]"

@@ -27,10 +27,6 @@ val set : mat -> int -> int -> float -> unit
 val add_to : mat -> int -> int -> float -> unit
 (** [add_to m i j v] accumulates [v] into [m.(i,j)]. *)
 
-val mat_copy : mat -> mat
-
-val mat_fill : mat -> float -> unit
-
 val mat_max_diff : mat -> mat -> float
 (** Max absolute elementwise difference; [infinity] on shape mismatch. *)
 
@@ -39,7 +35,3 @@ val vec_max_diff : vec -> vec -> float
 val vec_approx_equal : ?eps:float -> vec -> vec -> bool
 
 val mat_approx_equal : ?eps:float -> mat -> mat -> bool
-
-val pp_vec : Format.formatter -> vec -> unit
-
-val pp_mat : Format.formatter -> mat -> unit

@@ -90,8 +90,10 @@ let block_dense rng ~block ~nrows ~ncols ~nnz =
   let triplets = Hashtbl.fold (fun (i, j) v acc -> (i, j, v) :: acc) tbl [] in
   Coo.of_triplets ~nrows ~ncols triplets
 
-(* R-MAT: recursive quadrant descent with skewed probabilities. *)
-let rmat ?(pa = 0.57) ?(pb = 0.19) ?(pc = 0.19) rng ~nrows ~ncols ~nnz =
+(* R-MAT: recursive quadrant descent with skewed probabilities (the
+   Graph500 quadrant weights). *)
+let rmat rng ~nrows ~ncols ~nnz =
+  let pa = 0.57 and pb = 0.19 and pc = 0.19 in
   let draw () =
     let rec descend i0 i1 j0 j1 =
       if i1 - i0 <= 1 && j1 - j0 <= 1 then (i0, j0)

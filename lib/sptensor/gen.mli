@@ -28,9 +28,9 @@ val banded : Rng.t -> half_bw:int -> nrows:int -> ncols:int -> nnz:int -> Coo.t
 val block_dense : Rng.t -> block:int -> nrows:int -> ncols:int -> nnz:int -> Coo.t
 (** Randomly placed fully dense aligned blocks of edge [block]. *)
 
-val rmat :
-  ?pa:float -> ?pb:float -> ?pc:float ->
-  Rng.t -> nrows:int -> ncols:int -> nnz:int -> Coo.t
+val rmat : Rng.t -> nrows:int -> ncols:int -> nnz:int -> Coo.t
+(** R-MAT recursive quadrant descent with quadrant weights 0.57, 0.19, 0.19
+    and 0.05. *)
 
 val stencil2d : Rng.t -> nrows:int -> ncols:int -> Coo.t
 (** 5-point stencil on a [g x g] grid with [g = floor (sqrt (min nrows ncols))];

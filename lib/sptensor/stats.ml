@@ -114,14 +114,6 @@ let chunk_work_f (row_work : float array) ~chunk =
   Array.iteri (fun i c -> work.(i / chunk) <- work.(i / chunk) +. c) row_work;
   work
 
-(* Number of distinct column indices touched, per row-block of size [bi].
-   Upper-bounds the dense-operand footprint of one outer-loop iteration. *)
-let distinct_cols_per_rowblock (m : Coo.t) ~bi =
-  let nblocks = (m.Coo.nrows + bi - 1) / bi in
-  let sets = Array.init (max nblocks 1) (fun _ -> Hashtbl.create 16) in
-  Coo.iter (fun i j _ -> Hashtbl.replace sets.(i / bi) j ()) m;
-  Array.map Hashtbl.length sets
-
 (* Fixed-length feature vector for the HumanFeature extractor baseline.
    The paper's HumanFeature uses (#rows, #cols, #nnz); we expose the richer
    classic hand-crafted set too so the ablation can use either. *)

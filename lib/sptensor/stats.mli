@@ -42,9 +42,6 @@ val chunk_work_f : float array -> chunk:int -> float array
     per-kernel work distributions, where a row's work is flops-proportional
     rather than nnz-proportional. *)
 
-val distinct_cols_per_rowblock : Coo.t -> bi:int -> int array
-(** Distinct column indices touched per row-block of size [bi]. *)
-
 val human_features : ?rich:bool -> t -> float array
 (** The hand-crafted feature vector: the paper's (rows, cols, nnz) triple, or
     the richer classic set when [rich] is true. *)

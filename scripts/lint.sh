@@ -34,6 +34,16 @@ if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml bench 2>/dev/null; t
   status=1
 fi
 
+# SIGPIPE rule (DESIGN.md §12): the process-wide SIGPIPE guard has one
+# home, lib/serve/addr.ml, where every serving socket is opened (Addr.listen
+# for the daemons, Addr.connect for clients and shard links).  A second copy
+# that saves and restores the handler re-arms the signal when its daemon
+# stops, under any client of the same process still writing to a dead peer.
+if grep -rn "sigpipe" lib bin 2>/dev/null | grep -v "^lib/serve/addr.ml:"; then
+  echo "lint.sh: sigpipe outside lib/serve/addr.ml (use the guard in Addr)" >&2
+  status=1
+fi
+
 # Compiled-plan rule (DESIGN.md §14): the serve layer must reach the model
 # through the batched VM entry points (Costmodel.feature_batch, the tuner's
 # query_batch) — never the eager per-item forwards, which would silently

@@ -365,7 +365,7 @@ let test_dataset_check_missing_dir () =
 let test_prefilter_blackbox () =
   let evals = ref 0 in
   let be =
-    Blackbox.Blackbox_common.make_eval ~prefilter:Analysis.Lint.accepts (fun _ ->
+    Blackbox.Blackbox_common.make_eval ~filters:[ Asym.Prefilter.lint ] (fun _ ->
         incr evals;
         1.0)
   in

@@ -182,8 +182,7 @@ let test_tune_parallel_faults () =
       Robust.Faults.reset ();
       Robust.Faults.arm_transient_measures 2;
       let r =
-        Waco.Tuner.tune ~pool:p ~k:4 ~measure_backoff_s:1e-4 model machine wl
-          input index
+        Waco.Tuner.tune ~pool:p ~k:4 model machine wl input index
       in
       Robust.Faults.reset ();
       Alcotest.(check bool) "not degraded" false r.Waco.Tuner.degraded;
@@ -199,8 +198,7 @@ let test_tune_parallel_faults () =
       (* a persistently failing rig degrades identically to sequential *)
       Robust.Faults.arm_transient_measures max_int;
       let r2 =
-        Waco.Tuner.tune ~pool:p ~k:4 ~measure_backoff_s:1e-4 model machine wl
-          input index
+        Waco.Tuner.tune ~pool:p ~k:4 model machine wl input index
       in
       Robust.Faults.reset ();
       Alcotest.(check bool) "degraded" true r2.Waco.Tuner.degraded;

@@ -629,7 +629,7 @@ let test_tune_transient_retry () =
   Robust.Faults.reset ();
   Robust.Faults.arm_transient_measures 2;
   let r =
-    Waco.Tuner.tune ~k:4 ~measure_backoff_s:1e-4 model machine wl input index
+    Waco.Tuner.tune ~k:4 model machine wl input index
   in
   Robust.Faults.reset ();
   Alcotest.(check bool) "not degraded" false r.Waco.Tuner.degraded;
@@ -639,7 +639,7 @@ let test_tune_transient_retry () =
      tuner degrades to fixed CSR instead of raising *)
   Robust.Faults.arm_transient_measures max_int;
   let r2 =
-    Waco.Tuner.tune ~k:4 ~measure_backoff_s:1e-4 model machine wl input index
+    Waco.Tuner.tune ~k:4 model machine wl input index
   in
   Robust.Faults.reset ();
   Alcotest.(check bool) "degraded" true r2.Waco.Tuner.degraded;

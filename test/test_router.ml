@@ -696,6 +696,42 @@ let test_shard_sigkill_failover () =
       ignore (Unix.waitpid [] pid0);
       ignore (Unix.waitpid [] !pid1))
 
+(* A well-framed query whose body does not decode counts as a protocol
+   error at the router, as at a shard daemon.  It never reaches a shard, so
+   the router answers it with its only shard down. *)
+let test_router_undecodable_body () =
+  let dir = tmpdir "waco-router-body" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let _router, domain, ep =
+        spawn_router ~listen:(Filename.concat dir "r.sock")
+          ~shards:[ Filename.concat dir "down.sock" ]
+          ()
+      in
+      let c = wait_connect ep in
+      (* An empty path field is a body-level decode error. *)
+      Serve.Client.send c
+        (Serve.Protocol.Query
+           {
+             qid = "x";
+             source = Serve.Protocol.Path "";
+             measure = false;
+             deadline_ms = 0;
+             kernel = None;
+           });
+      (match Serve.Client.recv ~timeout_s:10.0 c with
+      | Serve.Protocol.Error_msg _ -> ()
+      | _ -> Alcotest.fail "undecodable body not answered with an error");
+      let j = router_stats c in
+      Alcotest.(check (option int)) "protocol_errors" (Some 1)
+        (counter_after j "\"router\"" "protocol_errors");
+      Alcotest.(check (option int)) "request_errors" (Some 0)
+        (counter_after j "\"router\"" "request_errors");
+      Alcotest.(check bool) "router shutdown" true (Serve.Client.shutdown c);
+      Serve.Client.close c;
+      Domain.join domain)
+
 let () =
   Alcotest.run "router"
     [
@@ -721,5 +757,7 @@ let () =
             test_busy_propagation;
           Alcotest.test_case "shard sigkill: failover + warm rejoin" `Slow
             test_shard_sigkill_failover;
+          Alcotest.test_case "undecodable body is a protocol error" `Quick
+            test_router_undecodable_body;
         ] );
     ]

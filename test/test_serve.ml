@@ -1773,6 +1773,30 @@ let test_client_bounded_failure () =
       Alcotest.(check bool) "retry budget is bounded" true
         (Unix.gettimeofday () -. t1 < 5.0))
 
+(* A client writing to a peer that has closed gets [Unix_error] back, the
+   transport failure [query_with_retry] retries, instead of the process
+   dying of SIGPIPE.  The peer is a raw socket and SIGPIPE starts at its
+   default, as in a fresh client process, so only the client's own guard
+   can keep the write from killing the test. *)
+let test_client_write_to_closed_peer () =
+  let dir = tmpdir "waco-serve-epipe" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_default;
+      let path = Filename.concat dir "peer.sock" in
+      let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind listen_fd (Unix.ADDR_UNIX path);
+      Unix.listen listen_fd 1;
+      let c = Serve.Client.connect path in
+      let peer, _ = Unix.accept listen_fd in
+      Unix.close peer;
+      Unix.close listen_fd;
+      (match Serve.Client.send c Serve.Protocol.Ping with
+      | () -> Alcotest.fail "write to a closed peer succeeded"
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      Serve.Client.close c)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1821,6 +1845,8 @@ let () =
             test_hostile_connections_reaped;
           Alcotest.test_case "client failure is bounded" `Quick
             test_client_bounded_failure;
+          Alcotest.test_case "client write to a closed peer" `Quick
+            test_client_write_to_closed_peer;
           Alcotest.test_case "fds past FD_SETSIZE refused" `Quick
             test_fdset_refusal;
         ] );
