@@ -306,9 +306,7 @@ let kernelmix ~force () =
    allocating closures).  Each op reports time AND GC allocation per
    iteration — the point of the flat layout is the allocation column.
    Gated: the conv allocation reduction, the cold extractor speedup and the
-   VM batch-32 plan's bytes.  The VM rows time the plan against the eager
-   forwards of the same layer kernels, so their ratio sits near 1x and
-   moves with host noise; it is recorded, not gated. *)
+   bytes of a warm 32-input extractor batch. *)
 
 (* (ns/iter, bytes allocated/iter) of [f], after warmup. *)
 let measure ?(warmup = 3) ~iters f =
@@ -546,53 +544,25 @@ let kernels ~force () =
   if !max_dev > 1e-9 then
     failwith (Printf.sprintf "kernels: flat/ref extractor outputs diverge (%g)" !max_dev);
 
-  (* -- batched inference VM vs eager per-input extractor forwards --
+  (* -- warm extractor batch: the feature path of serve phase B --
 
-     The compile-once/execute-many plan (DESIGN.md §14) against a loop of
-     eager [Waco.Extractor.forward] calls over the same warm inputs (pyramids
-     cached on both paths — this is the extractor-warm shape).  One row per
-     batch depth; the gated ratio is the batch-32 speedup. *)
-  let vm_rng = Rng.create 424242 in
-  let ext = Waco.Extractor.create vm_rng Waco.Extractor.Waconet in
-  let vm_inputs =
+     One [Waco.Extractor.forward] per input over 32 warm inputs (pyramids
+     memoized on the inputs — the extractor-warm shape), as
+     [Costmodel.feature_batch] runs them.  Its bytes are gated: a warm
+     forward may pay small per-input costs, nothing proportional to sites
+     or pairs. *)
+  let batch_rng = Rng.create 424242 in
+  let ext = Waco.Extractor.create batch_rng Waco.Extractor.Waconet in
+  let batch_inputs =
     Array.init 32 (fun i ->
         Waco.Extractor.input_of_coo
-          ~id:(Printf.sprintf "vmb%d" i)
-          (Gen.uniform vm_rng ~nrows:256 ~ncols:256 ~nnz:3000))
+          ~id:(Printf.sprintf "xb%d" i)
+          (Gen.uniform batch_rng ~nrows:256 ~ncols:256 ~nnz:3000))
   in
-  let compiled = Waco.Extractor.compile ext in
-  (* Parity guard: the batched plan must reproduce the eager features
-     bitwise (the test suite's contract; re-checked here because the bench
-     compares their timings). *)
-  let eager_ref =
-    Array.map (fun inp -> Array.copy (Waco.Extractor.forward ext inp)) vm_inputs
+  let extractor_batch32 =
+    measure ~iters:8 (fun () ->
+        Array.iter (fun inp -> ignore (Waco.Extractor.forward ext inp)) batch_inputs)
   in
-  let batched_ref = Waco.Extractor.forward_batch compiled vm_inputs in
-  Array.iteri
-    (fun n expect ->
-      Array.iteri
-        (fun i v ->
-          let got = batched_ref.((n * Waco.Config.feature_dim) + i) in
-          if Int64.bits_of_float v <> Int64.bits_of_float got then
-            failwith
-              (Printf.sprintf "kernels: vm/eager features diverge at %d.%d" n i))
-        expect)
-    eager_ref;
-  let vm_row n ~iters =
-    let inputs = Array.sub vm_inputs 0 n in
-    let eager =
-      measure ~iters (fun () ->
-          Array.iter (fun inp -> ignore (Waco.Extractor.forward ext inp)) inputs)
-    in
-    let vm =
-      measure ~iters (fun () ->
-          ignore (Waco.Extractor.forward_batch compiled inputs))
-    in
-    (vm, eager)
-  in
-  let vm_batch1 = vm_row 1 ~iters:60 in
-  let vm_batch8 = vm_row 8 ~iters:20 in
-  let vm_batch32 = vm_row 32 ~iters:8 in
 
   (* -- predictor tail: the graph walk's prefix-seeded batch vs full rows --
 
@@ -603,7 +573,7 @@ let kernels ~force () =
   let tail_algo = Algorithm.Spmm 8 in
   let tail_model = Waco.Costmodel.create (Rng.create 77) tail_algo in
   let ed = Waco.Config.embed_dim in
-  let uniform n = Array.init n (fun _ -> Rng.float_in vm_rng (-1.0) 1.0) in
+  let uniform n = Array.init n (fun _ -> Rng.float_in batch_rng (-1.0) 1.0) in
   let feature = uniform Waco.Config.feature_dim in
   let embs = uniform (tail_batch * ed) in
   let kernel = Waco.Kernel.of_algo tail_algo in
@@ -631,9 +601,6 @@ let kernels ~force () =
       ("linear_fwdbwd", "ref", (linear_flat, linear_ref));
       ("extractor_cold", "ref", (extractor_cold, extractor_cold_ref));
       ("extractor_warm", "ref", (extractor_warm, extractor_warm_ref));
-      ("vm_batch1", "eager", vm_batch1);
-      ("vm_batch8", "eager", vm_batch8);
-      ("vm_batch32", "eager", vm_batch32);
       ("tail_score", "full", tail_score);
     ]
   in
@@ -644,13 +611,13 @@ let kernels ~force () =
         key ns bytes ref_ns ref_bytes (ref_ns /. ns)
         (ref_bytes /. Float.max 1.0 bytes))
     comparisons;
+  Printf.printf "  %-18s %12.0f ns %10.0f B\n%!" "extractor_batch32" (fst extractor_batch32)
+    (snd extractor_batch32);
   let speedup ((ns, _), (ref_ns, _)) = ref_ns /. ns in
   let conv_alloc_reduction = snd conv_ref /. Float.max 1.0 (snd conv_flat) in
   let extractor_speedup = speedup (extractor_cold, extractor_cold_ref) in
-  Printf.printf
-    "  conv alloc reduction %.1fx, extractor speedup %.2fx, vm batch32 \
-     speedup %.2fx\n%!"
-    conv_alloc_reduction extractor_speedup (speedup vm_batch32);
+  Printf.printf "  conv alloc reduction %.1fx, extractor speedup %.2fx\n%!"
+    conv_alloc_reduction extractor_speedup;
   let f1 = Printf.sprintf "%.1f" and f2 = Printf.sprintf "%.2f" in
   record "BENCH_kernels.json" ~force
     ((("nsites", string_of_int nsites)
@@ -664,9 +631,8 @@ let kernels ~force () =
             ])
           comparisons)
     @ [
-        ("vm_batch1_speedup", f2 (speedup vm_batch1));
-        ("vm_batch8_speedup", f2 (speedup vm_batch8));
-        ("vm_batch32_speedup", f2 (speedup vm_batch32));
+        ("extractor_batch32_ns", f1 (fst extractor_batch32));
+        ("extractor_batch32_bytes", f1 (snd extractor_batch32));
         ("tail_score_speedup", f2 (speedup tail_score));
         ("conv_alloc_reduction", f2 conv_alloc_reduction);
         ("extractor_speedup", f2 extractor_speedup);
@@ -674,7 +640,7 @@ let kernels ~force () =
     [
       ("conv_alloc_reduction", Higher);
       ("extractor_speedup", Higher);
-      ("vm_batch32_bytes", Lower);
+      ("extractor_batch32_bytes", Lower);
     ]
 
 (* --- asym: static pre-filter effect on the search ----------------------

@@ -25,8 +25,6 @@ type stats = {
 
 type t
 
-val stats_of_workload : Machine_model.Workload.t -> stats
-
 val default_stats : algo:Algorithm.t -> ?dims:int array -> unit -> stats
 (** Synthetic statistics for contexts without a concrete operand (schedule
     linting, [waco explain] without [--matrix]): every dimension full

@@ -35,13 +35,9 @@ val is_error : t -> bool
 val relocate : prefix:string -> t -> t
 (** Prefix the location with an outer context (e.g. ["tuples.txt:14"]). *)
 
-val severity_name : severity -> string
-
 val count : severity -> t list -> int
 
 val first_error : t list -> t option
-
-val max_severity : t list -> severity option
 
 val exit_code : t list -> int
 (** 0 clean or hints only / 1 warnings / 2 errors. *)

@@ -31,10 +31,6 @@ val mkl : Machine.t -> Workload.t -> Algorithm.t -> tuned
 (** Raises [Invalid_argument] for SDDMM/MTTKRP (unsupported by MKL's sparse
     BLAS, per the paper). *)
 
-val best_format_candidates :
-  Algorithm.t -> dims:int array -> (string * Superschedule.t) list
-(** The candidate formats BestFormat chooses among. *)
-
 val best_format : Machine.t -> Workload.t -> Algorithm.t -> tuned
 
 val aspt : ?threshold:int -> Machine.t -> Workload.t -> Algorithm.t -> tuned

@@ -2,26 +2,10 @@
    predictor.  Trained with the pairwise ranking loss to order SuperSchedules
    per matrix; at inference the sparsity-pattern feature is computed once per
    matrix and reused across every schedule probed (§5.4's search-time
-   breakdown depends on exactly this reuse). *)
+   breakdown depends on exactly this reuse).  Training and inference run
+   the same eager layer forwards: one forward per model (DESIGN.md §14). *)
 
 open Schedule
-
-(* Compiled inference plans over the three model stages (DESIGN.md §14):
-   built lazily on first predict-path use, cached per instance.  Plans
-   share the instance's parameter arrays (in-place optimizer updates stay
-   visible) but own their arenas — single-domain, like eager scratch.
-
-   The predictor's plan is its tail: the first layer reads only the
-   embedding and kernel one-hot columns of each row, seeded with the
-   feature columns' partial sums ([tail_scorer]'s per-query prefix). *)
-type compiled = {
-  c_ext : Extractor.compiled;
-  c_emb : Embedder.compiled;
-  c_tail : Vm.Plan.t; (* predictor over [emb; one-hot] rows, seeded *)
-  c_rows : int; (* the tail plan's input-row buffer *)
-  c_seed : int; (* the tail plan's first-layer seed: the query's prefix *)
-  c_one_hots : float array array; (* indexed by Kernel.index *)
-}
 
 type t = {
   algo : Algorithm.t;
@@ -29,7 +13,10 @@ type t = {
   embedder : Embedder.t;
   predictor : Nn.Mlp.t;
   feature_cache : (string, float array) Hashtbl.t;
-  mutable vm : compiled option; (* lazily-compiled inference plans *)
+  (* [tail_scorer]'s grow-only buffers: the batch's [emb; one-hot] rows and
+     the predictor's first-layer output over them. *)
+  mutable tail_rows : float array;
+  mutable tail_hidden : float array;
 }
 
 (* Predictor input row: feature ++ program embedding ++ kernel one-hot.
@@ -48,7 +35,8 @@ let create rng ?(kind = Extractor.Waconet) (algo : Algorithm.t) =
       Nn.Mlp.create rng ~name:"predictor" ~dims:[| row_dim; 64; 32; 1 |]
         ~final_relu:false;
     feature_cache = Hashtbl.create 128;
-    vm = None;
+    tail_rows = [||];
+    tail_hidden = [||];
   }
 
 let params t =
@@ -65,8 +53,8 @@ let replicate t =
     embedder = Embedder.replicate t.embedder;
     predictor = Nn.Mlp.replicate t.predictor;
     feature_cache = Hashtbl.create 16;
-    (* Plans hold private arenas: each replica compiles its own. *)
-    vm = None;
+    tail_rows = [||];
+    tail_hidden = [||];
   }
 
 (* The kernel the head conditions on when the caller doesn't say: the
@@ -120,73 +108,35 @@ let forward_train ?kernel t (input : Extractor.input)
 
 (* --- Inference ---
 
-   Every predict path below runs on the compiled VM plans; results are
-   bitwise-equal to the eager layers (test/test_vm.ml), so artifacts, cache
-   keys and index builds are unchanged.  Training stays on the eager path
-   ([forward_train]) because backward needs the layers' forward caches. *)
+   Every predict path below runs the same eager layer forwards as
+   [forward_train], so it overwrites the layer caches a pending backward
+   reads: no inference call may run on an instance between [forward_train]
+   and its backward (replicas have caches of their own). *)
 
 (* Width of a tail row: the columns after the feature. *)
 let tail_width = row_dim - Config.feature_dim
-
-let compile t =
-  match t.vm with
-  | Some c -> c
-  | None ->
-      let b = Vm.Plan.builder () in
-      let rows = Vm.Plan.fresh b in
-      let seed = Vm.Plan.fresh b in
-      let out = Vm.Plan.fresh b in
-      let outv = { Vm.Plan.buf = out; off = 0; stride = 1 } in
-      Vm.Plan.mlp b t.predictor ~cols:(Config.feature_dim, row_dim) ~seed
-        ~src:{ Vm.Plan.buf = rows; off = 0; stride = tail_width }
-        ~dst:outv;
-      let c =
-        {
-          c_ext = Extractor.compile t.extractor;
-          c_emb = Embedder.compile t.embedder;
-          c_tail = Vm.Plan.finish b ~nlayers:0 ~out:outv;
-          c_rows = rows;
-          c_seed = seed;
-          c_one_hots = Array.of_list (List.map Kernel.one_hot Kernel.all);
-        }
-      in
-      t.vm <- Some c;
-      c
 
 (* The feature memo's constant bound: 4096 features of [Config.feature_dim]
    floats, about 3 MB with their keys.  A working set larger than that only
    costs recomputation. *)
 let feature_capacity = 4096
 
-(* Memoize the features of a whole group of patterns with one plan
-   execution — serve phase B's per-kernel-slot batch.  Memoized (or
-   repeated) ids are skipped; returns which members this call computed.  A
+(* Memoize the features of a whole group of patterns — serve phase B's
+   per-kernel-slot batch — one [Extractor.forward] (a fresh array, safe to
+   retain) per id not yet memoized; a repeated id finds its first
+   occurrence's feature.  Returns which members this call computed.  A
    memo the batch could overflow is reset first, so the batch's features
    survive until its searches read them. *)
 let feature_batch t (inputs : Extractor.input array) =
   if Hashtbl.length t.feature_cache + Array.length inputs > feature_capacity then
     Hashtbl.reset t.feature_cache;
-  let seen = Hashtbl.create 8 in
-  let computed =
-    Array.map
-      (fun (i : Extractor.input) ->
-        let id = i.Extractor.id in
-        let fresh = not (Hashtbl.mem t.feature_cache id || Hashtbl.mem seen id) in
-        Hashtbl.replace seen id ();
-        fresh)
-      inputs
-  in
-  let fresh = List.filteri (fun k _ -> computed.(k)) (Array.to_list inputs) in
-  if fresh <> [] then begin
-    let feats = Extractor.forward_batch (compile t).c_ext (Array.of_list fresh) in
-    let fd = Config.feature_dim in
-    (* Fresh exact-size copies off the plan's borrowed rows: safe to retain. *)
-    List.iteri
-      (fun k (i : Extractor.input) ->
-        Hashtbl.add t.feature_cache i.Extractor.id (Array.sub feats (k * fd) fd))
-      fresh
-  end;
-  computed
+  Array.map
+    (fun (i : Extractor.input) ->
+      let fresh = not (Hashtbl.mem t.feature_cache i.Extractor.id) in
+      if fresh then
+        Hashtbl.add t.feature_cache i.Extractor.id (Extractor.forward t.extractor i);
+      fresh)
+    inputs
 
 let feature t (input : Extractor.input) =
   match Hashtbl.find_opt t.feature_cache input.Extractor.id with
@@ -195,57 +145,57 @@ let feature t (input : Extractor.input) =
       ignore (feature_batch t [| input |] : bool array);
       Hashtbl.find t.feature_cache input.Extractor.id
 
-(* Uncached single-pattern feature for callers evaluating a model whose
-   weights are still moving (the trainer's eval loop). *)
-let feature_nocache t (input : Extractor.input) =
-  let c = compile t in
-  Array.sub (Extractor.forward_batch c.c_ext [| input |]) 0 Config.feature_dim
-
 let clear_feature_cache t = Hashtbl.reset t.feature_cache
 
 (* Program embeddings for a batch of schedules (the vectors the KNN graph is
    built on). *)
-let embed t (schedules : Superschedule.t array) =
-  let batch = Array.length schedules in
-  let c = compile t in
-  Array.sub (Embedder.forward_compiled c.c_emb schedules) 0 (batch * Config.embed_dim)
+let embed t (schedules : Superschedule.t array) = Embedder.forward t.embedder schedules
+
+let grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
 (* The predictor against one feature, split at the feature's last column
    (DESIGN.md §14).  Applied to [~feature], it runs the first layer over
    the feature columns once — seeded with the bias, no ReLU: the prefix
    every row of the query shares.  Each later call builds [emb; one-hot]
    rows for [batch] embeddings (read at stride [embed_dim] from offset 0)
-   and runs the tail plan seeded with that prefix, which resumes each
-   accumulator where the prefix left it: the same float-op chain as the
-   full row.  Results are borrowed from the plan's arena (valid prefix
-   [batch]) until the model's next tail execution. *)
+   and runs the first layer over them seeded with that prefix, which
+   resumes each accumulator where the prefix left it: the same float-op
+   chain as the full row.  The later layers run their eager forwards.
+   Results are the last layer's scratch (valid prefix [batch]) until the
+   predictor's next forward. *)
 let tail_scorer ?kernel t ~feature =
   let kernel = Option.value kernel ~default:(kernel_of t) in
-  let c = compile t in
   let fd = Config.feature_dim and ed = Config.embed_dim in
-  let first = (Nn.Mlp.layers t.predictor).(0) in
+  let layers = Nn.Mlp.layers t.predictor in
+  let first = layers.(0) in
   let h = first.Nn.Linear.out_dim in
   let prefix = Array.make h 0.0 in
   Nn.Linear.forward_into first ~cols:(0, fd) ~batch:1 ~src:feature ~src_off:0
     ~src_stride:fd ~dst:prefix ~dst_off:0 ~dst_stride:h ~relu:false;
-  let hot = c.c_one_hots.(Kernel.index kernel) in
+  let hot = Kernel.one_hot kernel in
   fun ~embs ~batch ->
-    (* Another query's scorer may have run since: the seed is re-set. *)
-    Array.blit prefix 0 (Vm.Plan.buffer c.c_tail c.c_seed ~len:h) 0 h;
-    let rows = Vm.Plan.buffer c.c_tail c.c_rows ~len:(batch * tail_width) in
+    t.tail_rows <- grown t.tail_rows (batch * tail_width);
+    t.tail_hidden <- grown t.tail_hidden (batch * h);
+    let rows = t.tail_rows in
     for b = 0 to batch - 1 do
       let base = b * tail_width in
       Array.blit embs (b * ed) rows base ed;
       Array.blit hot 0 rows (base + ed) Kernel.count
     done;
-    Vm.Plan.run_batch c.c_tail ~batch
+    Nn.Linear.forward_into first ~cols:(fd, row_dim) ~seed:prefix ~batch ~src:rows
+      ~src_off:0 ~src_stride:tail_width ~dst:t.tail_hidden ~dst_off:0 ~dst_stride:h
+      ~relu:(Nn.Mlp.relu_after t.predictor 0);
+    let cur = ref t.tail_hidden in
+    for l = 1 to Array.length layers - 1 do
+      cur := Nn.Linear.forward ~relu:(Nn.Mlp.relu_after t.predictor l) layers.(l) ~batch !cur
+    done;
+    !cur
 
 (* Full prediction for a batch of schedules against one matrix. *)
 let predict ?kernel t (input : Extractor.input) (schedules : Superschedule.t array) =
   let batch = Array.length schedules in
   let feature = feature t input in
-  let embs = Embedder.forward_compiled (compile t).c_emb schedules in
-  Array.sub (tail_scorer ?kernel t ~feature ~embs ~batch) 0 batch
+  Array.sub (tail_scorer ?kernel t ~feature ~embs:(embed t schedules) ~batch) 0 batch
 
 (* --- Persistence: flat text dump of all parameters, matched by name, inside
    the checksummed [Robust] artifact envelope and written atomically.  A crash

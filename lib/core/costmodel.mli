@@ -2,15 +2,11 @@
     runtime predictor, trained with the pairwise ranking loss to {e order}
     SuperSchedules per matrix.  At inference the sparsity-pattern feature is
     computed once per matrix and reused across every schedule probed —
-    §5.4's search-time breakdown depends on exactly this reuse. *)
+    §5.4's search-time breakdown depends on exactly this reuse.  Training
+    and inference run the same eager layer forwards: one forward per model
+    (DESIGN.md §14). *)
 
 open Schedule
-
-type compiled
-(** The model's compiled inference plans (DESIGN.md §14): extractor,
-    embedder and predictor-tail VM plans sharing the instance's parameter
-    arrays.  Built lazily by {!compile}; single-domain like eager scratch
-    (replicas compile their own). *)
 
 type t = {
   algo : Algorithm.t;
@@ -18,7 +14,9 @@ type t = {
   embedder : Embedder.t;
   predictor : Nn.Mlp.t;
   feature_cache : (string, float array) Hashtbl.t;
-  mutable vm : compiled option;  (** lazily-compiled inference plans *)
+  mutable tail_rows : float array;  (** {!tail_scorer}'s grow-only row buffer *)
+  mutable tail_hidden : float array;
+      (** {!tail_scorer}'s grow-only first-layer output *)
 }
 
 val create : Sptensor.Rng.t -> ?kind:Extractor.kind -> Algorithm.t -> t
@@ -31,10 +29,6 @@ val replicate : t -> t
     (replicas track weight updates made between — never during — parallel
     sections), owns private forward caches.  Replica forwards run the same
     float-op sequence as the original's, so results are bit-identical. *)
-
-val row_dim : int
-(** Width of a predictor input row
-    (feature ++ embedding ++ kernel one-hot). *)
 
 val kernel_of : t -> Kernel.t
 (** The kernel the head conditions on when a caller doesn't pass one: the
@@ -53,13 +47,13 @@ val forward_train :
     d(predictions) through predictor, embedder and extractor (the feature is
     computed once, its gradient summed over the batch).  The kernel one-hot
     is an input indicator, never a parameter — it takes no gradient.
-    [kernel] defaults to {!kernel_of}. *)
+    [kernel] defaults to {!kernel_of}.
 
-val compile : t -> compiled
-(** The instance's inference plans, compiling them on first use.  Every
-    predict-path entry point below runs on these plans; results are
-    bitwise-equal to the eager layers (test/test_vm.ml), so artifacts,
-    cache keys and index builds are unchanged. *)
+    The inference entry points below ({!feature}, {!feature_batch},
+    {!embed}, {!tail_scorer}, {!predict}) run the same eager layer forwards
+    and overwrite the layer caches the backward closure reads: none of them
+    may run on this instance between [forward_train] and its backward.  A
+    {!replicate} has caches of its own and is exempt. *)
 
 val feature_capacity : int
 (** The feature memo's bound: a memo that would pass it is reset first. *)
@@ -67,15 +61,11 @@ val feature_capacity : int
 val feature : t -> Extractor.input -> float array
 (** Memoized per [input.id]; see {!clear_feature_cache}. *)
 
-val feature_nocache : t -> Extractor.input -> float array
-(** Unmemoized single-pattern feature — for evaluating a model whose
-    weights are still moving (the trainer's eval loop). *)
-
 val feature_batch : t -> Extractor.input array -> bool array
-(** Memoize the features of a whole group of patterns with one batched
-    plan execution (serve phase B's per-kernel-slot batch).  Memoized or
-    repeated ids are skipped; element [i] of the result tells whether this
-    call computed member [i]'s feature. *)
+(** Memoize the features of a whole group of patterns, one
+    {!Extractor.forward} per fresh member (serve phase B's per-kernel-slot
+    batch).  Memoized or repeated ids are skipped; element [i] of the result
+    tells whether this call computed member [i]'s feature. *)
 
 val clear_feature_cache : t -> unit
 (** Empties the feature memo.  Required whenever extractor weights change
@@ -93,15 +83,16 @@ val tail_scorer :
     the feature columns (the prefix every schedule shares).  The resulting
     scorer predicts [batch] embeddings (rows of [embs] at stride
     [Config.embed_dim]) per call, bitwise equal to {!Nn.Mlp.forward} over
-    full {!rows_of} rows.  Its result is borrowed (valid prefix [batch])
-    until the model's next tail execution.  [kernel] defaults to
-    {!kernel_of}. *)
+    full {!rows_of} rows.  Its result is the predictor's last-layer scratch
+    (valid prefix [batch]) until the predictor's next forward.  [kernel]
+    defaults to {!kernel_of}. *)
 
 val predict :
   ?kernel:Kernel.t -> t -> Extractor.input -> Superschedule.t array ->
   float array
 (** Full prediction for a batch of schedules against one matrix, conditioned
-    on [kernel] (default {!kernel_of}); one plan execution per model stage. *)
+    on [kernel] (default {!kernel_of}): the memoized {!feature}, {!embed}
+    and one {!tail_scorer} call. *)
 
 val dump_params : t -> string
 (** The flat text dump of all parameters that {!save} wraps in the artifact
@@ -115,12 +106,6 @@ val digest : t -> string
 val embed_dim : t -> int
 (** The program-embedding width this model produces — must match the vector
     dimension of any HNSW index it queries ({!Tuner.validate_compat}). *)
-
-val validate_head : t -> file:string -> unit
-(** {!Tuner.validate_compat}-style width check: raises a typed
-    [Robust.Load_error] naming both widths when the predictor's input width
-    disagrees with {!row_dim} (e.g. a pre-kernel-conditioning artifact).
-    Run by {!load} before any parameter is restored. *)
 
 val save : t -> string -> unit
 (** Flat text dump of all parameters inside the checksummed

@@ -164,108 +164,6 @@ let forward t (schedules : Superschedule.t array) =
      buffer must not leak out (DESIGN.md §9). *)
   Array.sub (Nn.Mlp.forward t.mixer ~batch concat) 0 (batch * Config.embed_dim)
 
-(* Compiled predict-only forward (DESIGN.md §14): the lookup-table and
-   permutation-MLP GEMMs write their output rows straight into strided
-   column segments of the concat matrix — the view planner's replacement
-   for [copy_seg] — and the mixer runs as a fused GEMM chain on top.
-   Bitwise-equal to [forward].  Prediction paths only: training keeps the
-   eager layers, whose forward caches feed [backward]. *)
-type compiled = {
-  emb : t;
-  plan : Vm.Plan.t;
-  split_in : int array;
-  compute_in : int;
-  a_in : int;
-  fmt_in : int;
-  par_in : int;
-  thr_in : int;
-  chk_in : int;
-}
-
-let compile (t : t) =
-  let n = 2 * t.rank in
-  let nsplit = Array.length Space.split_options in
-  let nchunk = Array.length Space.chunk_options in
-  let cd = concat_dim t.rank in
-  let b = Vm.Plan.builder () in
-  let concat = Vm.Plan.fresh b in
-  let out = Vm.Plan.fresh b in
-  let split_in = Array.map (fun _ -> Vm.Plan.fresh b) t.split_tables in
-  let compute_in = Vm.Plan.fresh b in
-  let a_in = Vm.Plan.fresh b in
-  let fmt_in = Vm.Plan.fresh b in
-  let par_in = Vm.Plan.fresh b in
-  let thr_in = Vm.Plan.fresh b in
-  let chk_in = Vm.Plan.fresh b in
-  (* Column segments in [forward]'s concatenation order. *)
-  let off = ref 0 in
-  let seg width =
-    let o = !off in
-    off := o + width;
-    { Vm.Plan.buf = concat; off = o; stride = cd }
-  in
-  Array.iteri
-    (fun d table ->
-      Vm.Plan.gemm b table
-        ~src:{ Vm.Plan.buf = split_in.(d); off = 0; stride = nsplit }
-        ~dst:(seg split_embed) ~relu:false)
-    t.split_tables;
-  Vm.Plan.mlp b t.compute_mlp
-    ~src:{ Vm.Plan.buf = compute_in; off = 0; stride = n * n }
-    ~dst:(seg perm_embed);
-  Vm.Plan.mlp b t.a_order_mlp
-    ~src:{ Vm.Plan.buf = a_in; off = 0; stride = n * n }
-    ~dst:(seg perm_embed);
-  Vm.Plan.gemm b t.format_table
-    ~src:{ Vm.Plan.buf = fmt_in; off = 0; stride = n * 2 }
-    ~dst:(seg format_embed) ~relu:false;
-  Vm.Plan.gemm b t.par_table
-    ~src:{ Vm.Plan.buf = par_in; off = 0; stride = n }
-    ~dst:(seg par_embed) ~relu:false;
-  Vm.Plan.gemm b t.threads_table
-    ~src:{ Vm.Plan.buf = thr_in; off = 0; stride = 2 }
-    ~dst:(seg threads_embed) ~relu:false;
-  Vm.Plan.gemm b t.chunk_table
-    ~src:{ Vm.Plan.buf = chk_in; off = 0; stride = nchunk }
-    ~dst:(seg chunk_embed) ~relu:false;
-  assert (!off = cd);
-  let outv = { Vm.Plan.buf = out; off = 0; stride = Config.embed_dim } in
-  Vm.Plan.mlp b t.mixer ~src:{ Vm.Plan.buf = concat; off = 0; stride = cd } ~dst:outv;
-  {
-    emb = t;
-    plan = Vm.Plan.finish b ~nlayers:0 ~out:outv;
-    split_in;
-    compute_in;
-    a_in;
-    fmt_in;
-    par_in;
-    thr_in;
-    chk_in;
-  }
-
-(* Batched compiled forward; borrowed result, row [b] at [b * embed_dim],
-   bitwise-equal to [forward] (test/test_vm.ml). *)
-let forward_compiled (c : compiled) (schedules : Superschedule.t array) =
-  let t = c.emb in
-  let batch = Array.length schedules in
-  let encs = Array.map Encode.encode schedules in
-  let n = 2 * t.rank in
-  let fill buf width f =
-    let dst = Vm.Plan.buffer c.plan buf ~len:(batch * width) in
-    Array.iteri (fun bi enc -> Array.blit (f enc) 0 dst (bi * width) width) encs
-  in
-  let nsplit = Array.length Space.split_options in
-  for d = 0 to Array.length c.split_in - 1 do
-    fill c.split_in.(d) nsplit (fun e -> e.Encode.split_onehots.(d))
-  done;
-  fill c.compute_in (n * n) (fun e -> e.Encode.compute_perm);
-  fill c.a_in (n * n) (fun e -> e.Encode.a_perm);
-  fill c.fmt_in (n * 2) (fun e -> e.Encode.a_format_onehot);
-  fill c.par_in n (fun e -> e.Encode.par_onehot);
-  fill c.thr_in 2 (fun e -> e.Encode.threads_onehot);
-  fill c.chk_in (Array.length Space.chunk_options) (fun e -> e.Encode.chunk_onehot);
-  Vm.Plan.run_batch c.plan ~batch
-
 (* Backward from d(embedding); one-hot inputs need no input gradient. *)
 let backward t (dout : float array) =
   let batch = t.cache_batch in

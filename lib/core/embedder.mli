@@ -26,16 +26,3 @@ val forward : t -> Superschedule.t array -> float array
 val backward : t -> float array -> unit
 (** Accumulates parameter gradients from d(embeddings); one-hot inputs need
     no input gradient. *)
-
-type compiled
-(** Compile-once/execute-many predict path (DESIGN.md §14): table and
-    permutation-MLP GEMMs write straight into strided column segments of
-    the concat matrix, the mixer runs as a fused GEMM chain.  Prediction
-    only — training keeps the eager layers. *)
-
-val compile : t -> compiled
-
-val forward_compiled : compiled -> Superschedule.t array -> float array
-(** Batched compiled forward: borrowed plan buffer, row [b] at
-    [b * Config.embed_dim], bitwise-equal to {!forward} (test/test_vm.ml).
-    Copy rows that must outlive the next execution. *)

@@ -145,8 +145,8 @@ let replicate t =
             };
       }
 
-(* The input's pyramid for this stack, built on first use.  The hit path is
-   inside the VM's steady-state zero-allocation budget. *)
+(* The input's pyramid for this stack, built on first use.  The hit path
+   allocates nothing. *)
 let rec find_pyramid (c : conv_stack) (input : input) = function
   | (arch, use_down, p) :: rest ->
       if use_down = c.use_down && arch = c.arch then p
@@ -225,84 +225,3 @@ let backward t (dfeat : float array) =
         in
         dnext := Nn.Sparse_conv.backward conv dact
       done
-
-(* Compile-once/execute-many forward (DESIGN.md §14): one VM plan per
-   extractor instance.  Conv kinds compile to a per-item tape — one fused
-   conv+ReLU per layer plus a pool writing straight into the current item's
-   row of the pooled-concat matrix — and a batched tape holding the single
-   head GEMM over all rows.  The plan shares the instance's parameters and
-   reads each input's own pyramid; like eager scratch, it is single-domain
-   (replicas compile their own). *)
-type compiled = {
-  ext : t;
-  plan : Vm.Plan.t;
-  input_buf : int; (* Mlp kind: human-feature rows; -1 for conv kinds *)
-  in_width : int;
-}
-
-let compile (t : t) =
-  match t.body with
-  | Mlp m ->
-      let b = Vm.Plan.builder () in
-      let ib = Vm.Plan.fresh b in
-      let ob = Vm.Plan.fresh b in
-      let w = Nn.Mlp.in_dim m in
-      let dst = { Vm.Plan.buf = ob; off = 0; stride = t.out_dim } in
-      Vm.Plan.mlp b m ~src:{ Vm.Plan.buf = ib; off = 0; stride = w } ~dst;
-      { ext = t; plan = Vm.Plan.finish b ~nlayers:0 ~out:dst; input_buf = ib; in_width = w }
-  | Conv c ->
-      let ch = Config.channels in
-      let nconv = Array.length c.convs in
-      let npools = if c.pool_all then nconv else 1 in
-      if c.head.Nn.Linear.in_dim <> npools * ch then
-        invalid_arg "Extractor.compile: head width mismatch";
-      let b = Vm.Plan.builder () in
-      let concat = Vm.Plan.fresh b in
-      let feat = Vm.Plan.fresh b in
-      let fbufs = Array.init nconv (fun _ -> Vm.Plan.fresh b) in
-      let cstride = npools * ch in
-      for i = 0 to nconv - 1 do
-        Vm.Plan.conv b c.convs.(i) ~layer:i
-          ~src:(if i = 0 then -1 else fbufs.(i - 1))
-          ~dst:fbufs.(i) ~relu:true;
-        if c.pool_all then
-          Vm.Plan.pool b ~src:fbufs.(i) ~channels:ch ~layer:i
-            ~dst:{ Vm.Plan.buf = concat; off = i * ch; stride = cstride }
-      done;
-      if not c.pool_all then
-        Vm.Plan.pool b ~src:fbufs.(nconv - 1) ~channels:ch ~layer:(nconv - 1)
-          ~dst:{ Vm.Plan.buf = concat; off = 0; stride = cstride };
-      let featv = { Vm.Plan.buf = feat; off = 0; stride = t.out_dim } in
-      Vm.Plan.gemm b c.head
-        ~src:{ Vm.Plan.buf = concat; off = 0; stride = cstride }
-        ~dst:featv ~relu:false;
-      { ext = t; plan = Vm.Plan.finish b ~nlayers:nconv ~out:featv; input_buf = -1; in_width = 0 }
-
-(* Batched compiled forward: the result is a borrowed plan buffer with row
-   [n] at [n * out_dim], bitwise-equal per row to [forward] (pinned by
-   test/test_vm.ml).  Copy rows that must outlive the next execution. *)
-let forward_batch (cp : compiled) (inputs : input array) =
-  let batch = Array.length inputs in
-  match cp.ext.body with
-  | Mlp _ ->
-      let buf = Vm.Plan.buffer cp.plan cp.input_buf ~len:(batch * cp.in_width) in
-      for n = 0 to batch - 1 do
-        let hv = Lazy.force (Array.unsafe_get inputs n).human in
-        if Array.length hv < cp.in_width then
-          invalid_arg "Extractor.forward_batch: human feature width";
-        Array.blit hv 0 buf (n * cp.in_width) cp.in_width
-      done;
-      Vm.Plan.run_batch cp.plan ~batch
-  | Conv c ->
-      Vm.Plan.begin_batch cp.plan ~batch;
-      let nconv = Array.length c.convs in
-      for n = 0 to batch - 1 do
-        let pyr = pyramid_of c (Array.unsafe_get inputs n) in
-        Vm.Plan.start_item cp.plan n;
-        Vm.Plan.set_input_feats cp.plan pyr.Nn.Pyramid.base.Nn.Smap.feats;
-        for i = 0 to nconv - 1 do
-          Vm.Plan.bind_map cp.plan i pyr.Nn.Pyramid.maps.(i)
-        done;
-        Vm.Plan.run_item cp.plan
-      done;
-      Vm.Plan.run_batch cp.plan ~batch

@@ -56,18 +56,3 @@ val forward : t -> input -> float array
 
 val backward : t -> float array -> unit
 (** Accumulates parameter gradients from d(feature). *)
-
-type compiled
-(** A compile-once/execute-many inference plan over this extractor's layers
-    (DESIGN.md §14): fused conv+ReLU per layer, pooling straight into the
-    batch concat matrix, one blocked head GEMM over all rows.  Shares the
-    instance's parameters; single-domain like its eager scratch — replicas
-    must {!compile} their own. *)
-
-val compile : t -> compiled
-
-val forward_batch : compiled -> input array -> float array
-(** Features for a batch of patterns in one plan execution; row [n] of the
-    borrowed result is at [n * Config.feature_dim] and is bitwise-equal to
-    [forward] on the same input.  Copy rows that must outlive the next
-    execution; steady state allocates zero bytes (test/test_vm.ml). *)

@@ -59,10 +59,9 @@ let eval_sample ?kernel model (sample : Dataset.sample) =
   let kernel = Option.value kernel ~default:(Costmodel.kernel_of model) in
   let schedules, truth = batch_of_pairs sample sample.Dataset.valid_pairs in
   let batch = Array.length schedules in
-  (* Compiled forward-only path (DESIGN.md §14), bitwise-equal to the eager
-     layers.  The feature is recomputed, not cached: eval runs between
-     epochs, while the weights are still moving. *)
-  let feature = Costmodel.feature_nocache model sample.Dataset.input in
+  (* The feature is recomputed, not memoized: eval runs between epochs,
+     while the weights are still moving. *)
+  let feature = Extractor.forward model.Costmodel.extractor sample.Dataset.input in
   let embs = Costmodel.embed model schedules in
   let pred =
     Array.sub (Costmodel.tail_scorer ~kernel model ~feature ~embs ~batch) 0 batch
@@ -333,6 +332,10 @@ let train ?pool ?(pairs_per_step = 16) ?(lr = 1e-3) ?(log = fun _ -> ())
         end
         else begin
           let schedules, truth = batch_of_pairs sample pairs in
+          (* Inference runs the same layer forwards and overwrites the
+             caches [backward] reads: no feature/embed/predict/tail_scorer
+             call on [model] until [backward] has run (replicas are
+             exempt).  Evaluation waits for the epoch's steps. *)
           let pred, backward =
             Costmodel.forward_train ~kernel:data.Dataset.kernel model
               sample.Dataset.input schedules

@@ -367,10 +367,11 @@ type batch_query = {
 }
 
 (* Answer a group of distinct matrices against one model: every unmemoized
-   pattern's feature comes from a single batched extractor-plan execution
-   (DESIGN.md §14) before the per-matrix searches run — serve phase B's
-   "one run_batch per kernel slot" — whose time is split evenly over the
-   members it computed a feature for.  Per-query deadlines are re-checked
+   pattern's feature comes from one [Costmodel.feature_batch] call, which
+   dedupes repeated patterns and fills the feature memo, before the
+   per-matrix searches run — serve phase B's one feature pass per kernel
+   slot — whose time is split evenly over the members it computed a
+   feature for.  Per-query deadlines are re-checked
    by [tune]; an expired query merely wastes its share of that work. *)
 let query_batch ?pool ?k ?ef model machine (queries : batch_query array)
     (index : index) =

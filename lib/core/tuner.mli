@@ -133,12 +133,12 @@ val query_batch :
   ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int ->
   Costmodel.t -> Machine.t -> batch_query array -> index -> result array * int
 (** {!query} over a group of distinct matrices: all unmemoized features come
-    from one batched extractor-plan execution (DESIGN.md §14) before the
-    per-matrix searches run — serve phase B's one [run_batch] per kernel
+    from one {!Costmodel.feature_batch} call (memo and dedupe) before the
+    per-matrix searches run — serve phase B's one feature pass per kernel
     slot.  Results align with the input order; the int is how many features
-    that execution computed.  Queries sharing a [bq_id] share one feature.
-    Each member that computed a feature gets an equal share of the batched
-    execution's time as [feature_seconds]; memo hits report 0. *)
+    that call computed.  Queries sharing a [bq_id] share one feature.  Each
+    member that computed a feature gets an equal share of the call's time
+    as [feature_seconds]; memo hits report 0. *)
 
 val validate_compat : Costmodel.t -> index_file:string -> index -> unit
 (** Raises [Robust.Load_error (Malformed _)] (citing [index_file] and both

@@ -23,6 +23,8 @@ type t = {
    model still prices them) but not physically packed. *)
 let default_budget = 1 lsl 24
 
+(* The coordinate at level [lvl] of an entry's logical coordinates: division
+   for a split's top level, modulo for its bottom. *)
 let derived_coord spec ~logical lvl entry_coords =
   let v = Spec.level_var spec lvl in
   let d = Spec.var_dim v in

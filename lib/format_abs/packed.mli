@@ -16,14 +16,6 @@ type t = {
   nnz : int;  (** logical (unpadded) nonzero count *)
 }
 
-val default_budget : int
-(** Default cap on materialized leaf slots ([2^24]); formats whose zero-fill
-    exceeds it are representable analytically but not packed physically. *)
-
-val derived_coord : Spec.t -> logical:unit -> int -> int array -> int
-(** [derived_coord spec ~logical lvl coords] maps logical coordinates to the
-    coordinate at level [lvl] (top: division, bottom: modulo). *)
-
 val pack :
   ?budget:int -> Spec.t -> (int array * float) array -> (t, string) result
 (** Packs entries (logical coordinates + value).  [Error] on duplicate

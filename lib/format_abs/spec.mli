@@ -84,8 +84,6 @@ val csf : dims:int array -> t
 
 (** {2 Naming and concordance} *)
 
-val default_dim_names : string array
-
 val var_name : ?dim_names:string array -> int -> string
 (** e.g. ["i1"], ["k0"]. *)
 

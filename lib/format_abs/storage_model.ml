@@ -95,6 +95,10 @@ let intern_level ~prev_ids ~cs ~split ~is_top ~stride ~key_space =
   end;
   !next
 
+(* Distinct nonzero coordinate prefixes at each level depth, by exact
+   prefix-id interning.  [coords.(d).(e)] is entry [e]'s logical coordinate
+   on dimension [d]; every array has one slot per entry.  The result does
+   not depend on the entries' order. *)
 let distinct_prefix_counts (spec : Spec.t) (coords : int array array) =
   let n = if Array.length coords = 0 then 0 else Array.length coords.(0) in
   if Array.exists (fun cs -> Array.length cs <> n) coords then

@@ -20,15 +20,11 @@ val scratch_cap : int
 (** Key spaces up to this size intern through a direct-mapped per-domain
     array; larger ones fall back to a hashtable with the same output. *)
 
-val distinct_prefix_counts : Spec.t -> int array array -> int array
-(** Distinct nonzero coordinate prefixes at each level depth, by exact
-    prefix-id interning.  [coords.(d).(e)] is entry [e]'s logical
-    coordinate on dimension [d]; every array has one slot per entry
-    ([Invalid_argument] otherwise).  The result does not depend on the
-    entries' order. *)
-
 val analyze : Spec.t -> int array array -> t
-(** The storage of a pattern given as per-dimension coordinate arrays (see
-    {!distinct_prefix_counts}); the arrays are read, never written. *)
+(** The storage of a pattern given as per-dimension coordinate arrays:
+    [coords.(d).(e)] is entry [e]'s logical coordinate on dimension [d],
+    and every array has one slot per entry ([Invalid_argument] otherwise).
+    The arrays are read, never written; the result does not depend on the
+    entries' order. *)
 
 val analyze_coo : Spec.t -> Sptensor.Coo.t -> t

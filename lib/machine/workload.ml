@@ -60,6 +60,7 @@ let of_tensor3 ?(id = "tensor3") (t : Tensor3.t) =
   build ~id ~dims:[| t.dim_i; t.dim_k; t.dim_l |] ~coords:[| t.is; t.ks; t.ls |]
     ~vals:t.vals
 
+(* Memoization key of the format part of a spec. *)
 let spec_key (spec : Format_abs.Spec.t) =
   let buf = Buffer.create 32 in
   Array.iter (fun s -> Buffer.add_string buf (string_of_int s); Buffer.add_char buf ',')

@@ -33,9 +33,6 @@ val of_coo : ?id:string -> Coo.t -> t
 val of_tensor3 : ?id:string -> Tensor3.t -> t
 (** Shares the tensor's coordinate and value arrays (no copy). *)
 
-val spec_key : Format_abs.Spec.t -> string
-(** Memoization key of the format part of a spec. *)
-
 val storage : t -> Format_abs.Spec.t -> Format_abs.Storage_model.t
 (** Cached analytic storage of this workload under a format. *)
 

@@ -49,8 +49,8 @@ let replicate t =
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
-(* The layer's one forward kernel, shared by [forward] and the inference
-   VM's Gemm instruction (DESIGN.md §14): a blocked batched GEMM over
+(* The layer's one forward kernel, shared by [forward] and the cost model's
+   split predictor tail (DESIGN.md §9): a blocked batched GEMM over
    strided row views with the bias add and an optional trailing ReLU fused
    in.  Every output cell is one accumulator seeded with the bias, then the
    input extent in ascending order.  Tiling covers batch rows only (four

@@ -40,13 +40,13 @@ val forward_into :
   dst_stride:int ->
   relu:bool ->
   unit
-(** The layer's one forward kernel, used by {!forward} and by the inference
-    VM (DESIGN.md §14): a blocked batched GEMM over strided row views, bias
-    and an optional trailing ReLU fused in.  Row [n] of the input occupies
-    [src_off + n*src_stride ..+ in_dim]; outputs land at
-    [dst_off + n*dst_stride ..+ out_dim].  Each output cell is one
-    ascending accumulation chain seeded with the bias, whatever the batch.
-    Forward-only (no caching), zero allocation.
+(** The layer's one forward kernel, used by {!forward} and by the cost
+    model's split predictor tail (DESIGN.md §9): a blocked batched GEMM
+    over strided row views, bias and an optional trailing ReLU fused in.
+    Row [n] of the input occupies [src_off + n*src_stride ..+ in_dim];
+    outputs land at [dst_off + n*dst_stride ..+ out_dim].  Each output cell
+    is one ascending accumulation chain seeded with the bias, whatever the
+    batch.  Forward-only (no caching), zero allocation.
 
     [cols = (lo, hi)] (default [(0, in_dim)]) reduces over weight columns
     [lo, hi) only; row [n]'s inputs then occupy

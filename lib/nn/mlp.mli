@@ -20,7 +20,8 @@ val in_dim : t -> int
 
 val layers : t -> Linear.t array
 (** The underlying linear layers in forward order — read-only structural
-    access for the inference VM's plan compiler (DESIGN.md §14). *)
+    access for the cost model's split predictor tail, which runs the first
+    layer over two column ranges (DESIGN.md §14). *)
 
 val relu_after : t -> int -> bool
 (** Whether the forward path applies a ReLU after layer [l] (always true for

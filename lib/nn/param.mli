@@ -10,8 +10,6 @@ val create : name:string -> int -> t
 val xavier : Sptensor.Rng.t -> name:string -> fan_in:int -> fan_out:int -> int -> t
 (** Glorot/Xavier-uniform initialization. *)
 
-val zero_grad : t -> unit
-
 val zero_grads : t list -> unit
 
 val size : t -> int

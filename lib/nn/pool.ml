@@ -16,8 +16,7 @@ let create () = { nsites = 0; channels = 0; out = [||]; din = [||] }
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
-(* The layer's one forward kernel, shared by [forward] and the inference
-   VM's Pool instruction (DESIGN.md §14): the per-channel mean of
+(* The layer's one forward kernel, run by [forward]: the per-channel mean of
    [nsites] site-major rows of [src] into [dst.(dst_off ..+ channels)]. *)
 let forward_into ~nsites ~channels ~src ~dst ~dst_off =
   if dst_off < 0 || dst_off + channels > Array.length dst then

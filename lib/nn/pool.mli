@@ -10,10 +10,10 @@ val create : unit -> t
 
 val forward_into :
   nsites:int -> channels:int -> src:float array -> dst:float array -> dst_off:int -> unit
-(** The layer's one forward kernel, used by {!forward} and by the inference
-    VM (DESIGN.md §14): writes the per-channel mean of the first [nsites]
-    site-major rows of [src] ([channels] per site) to
-    [dst.(dst_off) .. dst.(dst_off + channels - 1)] (zeros for no sites).
+(** The layer's one forward kernel, run by {!forward}: writes the
+    per-channel mean of the first [nsites] site-major rows of [src]
+    ([channels] per site) to [dst.(dst_off) .. dst.(dst_off + channels - 1)]
+    (zeros for no sites).
     Zero allocation; raises [Invalid_argument] on a short [src] or [dst]. *)
 
 val forward : t -> Smap.t -> float array

@@ -40,10 +40,6 @@ val of_pairs :
 val coords_pairs : t -> (int * int) array
 (** All coordinates, decoded — allocates; for tests and diagnostics only. *)
 
-val default_max_sites : int
-(** Site cap for the raw input map ([8192]): the CPU-budget stand-in for the
-    paper's 10M-nnz GPU capacity. *)
-
 val of_coo : ?max_sites:int -> Sptensor.Coo.t -> t
 (** Single-channel input map of a pattern: one site per nonzero, feature 1.0.
     Patterns above [max_sites] are deterministically subsampled — unlike grid

@@ -292,15 +292,14 @@ let build_map ~ksize ~stride coords ~h ~w =
 
 let[@inline] grown buf need = if Array.length buf < need then Array.make need 0.0 else buf
 
-(* The layer's one forward kernel, shared by training ([forward_with_map])
-   and the inference VM's Conv instruction (DESIGN.md §14): [dst] gets
-   bias + the map's pair products for [n_out = |out_coords|] sites, then an
-   optional ReLU once every reduction is complete.  Order: bias init over
-   all sites first, then kernel offsets ascending, pairs ascending within
-   each offset segment, and per pair one ascending inner-channel
-   accumulation chain seeded with [0.0] added to the output site.  The 1-
-   and 6-channel widths WACONet uses get specialized loops that keep exactly
-   that float-op sequence.  Forward-only: no caching, no allocation. *)
+(* The layer's one forward kernel, run by [forward_with_map] (DESIGN.md §9):
+   [dst] gets bias + the map's pair products for [n_out = |out_coords|]
+   sites, then an optional ReLU once every reduction is complete.  Order:
+   bias init over all sites first, then kernel offsets ascending, pairs
+   ascending within each offset segment, and per pair one ascending
+   inner-channel accumulation chain seeded with [0.0] added to the output
+   site.  The 1- and 6-channel widths WACONet uses get specialized loops
+   that keep exactly that float-op sequence.  Forward-only: no caching, no allocation. *)
 let forward_into t (map : kernel_map) ~src ~dst ~relu =
   let n_out = Array.length map.out_coords in
   let ci = t.in_ch and co = t.out_ch in

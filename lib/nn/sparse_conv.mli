@@ -61,10 +61,9 @@ val build_map : ksize:int -> stride:int -> int array -> h:int -> w:int -> kernel
     COO order); strided maps probe only the stride lattice (DESIGN.md §9). *)
 
 val forward_into : t -> kernel_map -> src:float array -> dst:float array -> relu:bool -> unit
-(** The layer's one forward kernel, used by {!forward_with_map} and by the
-    inference VM (DESIGN.md §14): writes bias + the map's pair products for
-    the map's output sites into [dst] (site-major, [out_ch] per site), then
-    an optional ReLU.  [src] holds the input features, [in_ch] per site.
+(** The layer's one forward kernel, run by {!forward_with_map} (DESIGN.md
+    §9): writes bias + the map's pair products for the map's output sites
+    into [dst] (site-major, [out_ch] per site), then an optional ReLU.  [src] holds the input features, [in_ch] per site.
     Accumulation order is fixed — bias first, kernel offsets ascending,
     pairs ascending, one ascending inner-channel chain per pair — and the
     1- and 6-channel fast paths keep it bit for bit.  Forward-only: no

@@ -139,8 +139,6 @@ let arm_clock_skew ~seconds =
       st.wall_skew_s <- seconds;
       refresh ())
 
-let writes_seen () = with_lock (fun () -> st.writes_seen)
-
 (* --- hooks --- *)
 
 let guard_write point =

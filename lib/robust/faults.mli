@@ -54,9 +54,6 @@ val arm_net_drop_at : int -> unit
     the peer as dead ({!net_drop_tick} returns [true]), simulating a
     connection dropped mid-frame. *)
 
-val writes_seen : unit -> int
-(** Write points counted since {!arm_fail_nth_write} (for sweep bounds). *)
-
 (** {2 Hooks called by production code} *)
 
 val guard_write : string -> unit

@@ -167,7 +167,7 @@ let read_file path =
 (* --- the artifact envelope --- *)
 
 let magic = "%%WACO-ARTIFACT"
-let artifact_version = 1
+let artifact_version = 1 (* the envelope version this build writes and reads *)
 
 module Kind = struct
   let model = "waco-model"

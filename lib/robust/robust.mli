@@ -73,9 +73,6 @@ val read_file : string -> (string, load_error) result
 val magic : string
 (** First bytes of every enveloped artifact. *)
 
-val artifact_version : int
-(** Envelope version this build writes and reads. *)
-
 (** Artifact kind strings shared by writers and the lint passes. *)
 module Kind : sig
   val model : string
@@ -93,8 +90,8 @@ val write_artifact : kind:string -> ?version:int -> string -> string -> unit
 
 val read_artifact :
   ?expected_kind:string -> string -> (string, load_error) result
-(** Verifies envelope version ({!artifact_version}), kind, byte count and
-    checksum, returning the payload.  [Not_an_artifact] signals a
+(** Verifies envelope version (the one this build writes), kind, byte
+    count and checksum, returning the payload.  [Not_an_artifact] signals a
     pre-envelope legacy file the caller may fall back on. *)
 
 val read_artifact_exn : ?expected_kind:string -> string -> string

@@ -22,10 +22,6 @@ val dim_names : t -> string array
 val dense_inner : t -> int
 (** Trip count of the dense loop outside A's index space (0 if none). *)
 
-val reduction_dims : t -> int list
-(** Logical dims of A the kernel reduces along: parallelizing those needs
-    atomics, which is why SDDMM alone can parallelize columns (§5.2.1). *)
-
 val parallel_candidates : t -> int list
 (** Derived variables eligible for [parallelize] (Table 3). *)
 

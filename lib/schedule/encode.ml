@@ -27,6 +27,7 @@ let perm_matrix order =
   Array.iteri (fun pos v -> m.((pos * n) + v) <- 1.0) order;
   m
 
+(* Menu slot of a split size. *)
 let split_index s =
   match Space.log2_index Space.split_options s with
   | Some i -> i

@@ -17,12 +17,6 @@ val onehot : int -> int -> float array
 
 val perm_matrix : int array -> float array
 
-val split_index : int -> int
-(** Menu slot of a split size; off-menu sizes map to the nearest power of
-    two. *)
-
-val chunk_index : int -> int
-
 val encode : Superschedule.t -> t
 
 val to_flat : t -> float array

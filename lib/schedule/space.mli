@@ -12,19 +12,11 @@ val chunk_options : int array
 (** OpenMP dynamic chunk sizes, scaled with the corpus dimensions like the
     cache sizes (DESIGN.md). *)
 
-val threads_options : Superschedule.threads array
-
 val log2_index : int array -> int -> int option
 (** Position of a value in a menu array. *)
 
-val split_options_for_dim : int -> int array
-(** The split menu restricted to sizes no larger than the dimension. *)
-
 val sample : Rng.t -> Algorithm.t -> dims:int array -> Superschedule.t
 (** Uniform sample over the whole space. *)
-
-val perm_mutate : Rng.t -> int array -> int array
-(** Swap two positions of a permutation (pure). *)
 
 val mutate : Rng.t -> dims:int array -> Superschedule.t -> Superschedule.t
 (** Change one parameter at random. *)

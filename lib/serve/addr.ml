@@ -47,6 +47,7 @@ let inet_addr_of host =
       | exception Not_found ->
           failwith (Printf.sprintf "Addr: unknown host %s" host))
 
+(* Raises [Failure] on an unknown [Tcp] host. *)
 let sockaddr = function
   | Unix_path p -> Unix.ADDR_UNIX p
   | Tcp { host; port } -> Unix.ADDR_INET (inet_addr_of host, port)

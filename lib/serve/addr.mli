@@ -20,10 +20,6 @@ val of_string : string -> t
 val to_string : t -> string
 (** Canonical spec: the bare path for [Unix_path], [tcp:HOST:PORT] else. *)
 
-val sockaddr : t -> Unix.sockaddr
-(** Resolves [Tcp] hosts (dotted quad first, then [gethostbyname]); raises
-    [Failure] on an unknown host. *)
-
 val family : t -> Unix.socket_domain
 
 val nodelay : Unix.file_descr -> unit

@@ -49,7 +49,9 @@ type t = {
   mutable phase_b_misses : int;  (* distinct misses those dispatches carried *)
   mutable phase_b_max : int;  (* largest distinct-miss group so far *)
   phase_b_hist : int array;  (* miss-count histogram: 1 / 2-3 / 4-7 / 8-15 / 16+ *)
-  mutable vm_batched_runs : int;  (* per-kernel-slot batched plan executions *)
+  (* One per kernel slot's Tuner.query_batch call; the stats key keeps its
+     old name because stats consumers read the schema. *)
+  mutable vm_batched_runs : int;
   mutable cache_persist_failures : int;
   mutable shed : int;  (* queries answered [Busy] past the high-water mark *)
   mutable deadline_misses : int;  (* answers marked degraded_reason=deadline *)

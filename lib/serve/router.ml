@@ -38,7 +38,7 @@ module Ring = struct
   type t = { points : (int * int) array; names : string array }
   (* [points] is (hash of "name#v", member index), sorted by hash. *)
 
-  let vnodes = 64
+  let vnodes = 64 (* virtual points per shard *)
 
   (* 64-bit FNV-1a with an avalanche finalizer, folded to a non-negative
      OCaml int.  Bare FNV-1a is a poor ring hash: two inputs differing

@@ -21,14 +21,11 @@
 
 (** The consistent-hash ring, exposed for property tests and for callers
     that want to predict placement: FNV-1a over the fingerprint's sketch
-    hex, {!Ring.vnodes} virtual points per shard, successor-point lookup.
+    hex, 64 virtual points per shard, successor-point lookup.
     Ring membership changes remap only the departed (or joined) shard's
     arcs — every other key keeps its owner. *)
 module Ring : sig
   type t
-
-  val vnodes : int
-  (** Virtual points per shard (64). *)
 
   val create : string list -> t
   (** Raises [Invalid_argument] on an empty member list. *)

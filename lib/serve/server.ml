@@ -11,9 +11,8 @@
      N clients asking about the same pattern cost one computation;
    - cache hits are answered immediately;
    - the distinct misses of each kernel slot run through one
-     [Tuner.query_batch]: one batched extractor-plan execution for their
-     features, then each miss's top-k measurements spread over the worker
-     pool;
+     [Tuner.query_batch]: one feature pass over their fresh patterns,
+     then each miss's top-k measurements spread over the worker pool;
    - fresh non-degraded answers enter the LRU cache, which is persisted
      write-through — one fsynced journal append per batch, beside a
      [Robust]-enveloped snapshot — so a restarted daemon is warm.
@@ -272,8 +271,8 @@ let note_result t (r : Waco.Tuner.result) =
 (* Phase B: group the distinct misses by kernel slot (in first-appearance
    order, so the cache-insertion order of phase C is unchanged) and run each
    group through [Tuner.query_batch] — all of a group's uncached features
-   come from one batched extractor-plan execution (DESIGN.md §14), and each
-   miss's top-k measurements spread over the pool.  Returns key -> result. *)
+   come from one [Costmodel.feature_batch] call, and each miss's top-k
+   measurements spread over the pool.  Returns key -> result. *)
 let compute t miss_keys misses =
   let computed = Hashtbl.create 8 in
   let group_order = ref [] in

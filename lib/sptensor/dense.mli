@@ -27,11 +27,6 @@ val set : mat -> int -> int -> float -> unit
 val add_to : mat -> int -> int -> float -> unit
 (** [add_to m i j v] accumulates [v] into [m.(i,j)]. *)
 
-val mat_max_diff : mat -> mat -> float
-(** Max absolute elementwise difference; [infinity] on shape mismatch. *)
-
-val vec_max_diff : vec -> vec -> float
-
 val vec_approx_equal : ?eps:float -> vec -> vec -> bool
 
 val mat_approx_equal : ?eps:float -> mat -> mat -> bool

@@ -110,7 +110,8 @@ let rmat rng ~nrows ~ncols ~nnz =
   in
   fill_distinct rng ~nrows ~ncols ~nnz draw
 
-(* 5-point stencil on a g x g grid (g = floor(sqrt nrows)); classic mesh. *)
+(* 5-point stencil on a g x g grid, g = floor (sqrt (min nrows ncols)) and
+   at least 2; the result is g^2 x g^2.  Classic mesh. *)
 let stencil2d rng ~nrows ~ncols =
   let g = max 2 (int_of_float (sqrt (float_of_int (min nrows ncols)))) in
   let n = g * g in

@@ -32,10 +32,6 @@ val rmat : Rng.t -> nrows:int -> ncols:int -> nnz:int -> Coo.t
 (** R-MAT recursive quadrant descent with quadrant weights 0.57, 0.19, 0.19
     and 0.05. *)
 
-val stencil2d : Rng.t -> nrows:int -> ncols:int -> Coo.t
-(** 5-point stencil on a [g x g] grid with [g = floor (sqrt (min nrows ncols))];
-    the result is [g^2 x g^2]. *)
-
 val clustered : Rng.t -> cluster:int -> nrows:int -> ncols:int -> nnz:int -> Coo.t
 
 val generate : Rng.t -> family -> nrows:int -> ncols:int -> nnz:int -> Coo.t

@@ -25,9 +25,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a decorrelated child stream.  Splitting
     the same parent state twice yields the same child. *)
 
-val next_int64 : t -> int64
-(** Raw 64-bit output. *)
-
 val bits : t -> int
 (** 62 uniform random bits as a non-negative [int]. *)
 

@@ -19,6 +19,7 @@ type t = {
   empty_rows : int;
 }
 
+(* Sample mean and population standard deviation of integer counts. *)
 let mean_std counts =
   let n = Array.length counts in
   if n = 0 then (0.0, 0.0)

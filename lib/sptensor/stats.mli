@@ -47,6 +47,3 @@ val human_features : ?rich:bool -> t -> float array
     the richer classic set when [rich] is true. *)
 
 val pp : Format.formatter -> t -> unit
-
-val mean_std : int array -> float * float
-(** Sample mean and population standard deviation of integer counts. *)

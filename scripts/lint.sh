@@ -44,31 +44,23 @@ if grep -rn "sigpipe" lib bin 2>/dev/null | grep -v "^lib/serve/addr.ml:"; then
   status=1
 fi
 
-# Compiled-plan rule (DESIGN.md §14): the serve layer must reach the model
-# through the batched VM entry points (Costmodel.feature_batch, the tuner's
-# query_batch) — never the eager per-item forwards, which would silently
-# give up the batching the phase-B throughput numbers rest on.
+# Serve-entry rule (DESIGN.md §10): the serve layer must reach the model
+# through Costmodel.feature_batch and the tuner's query_batch — never the
+# per-item Extractor.forward or Costmodel.predict, which would skip the
+# feature memo and the per-batch dedupe of repeated patterns that the
+# phase-B throughput numbers rest on.
 if grep -rn "Extractor\.forward\|Costmodel\.predict " lib/serve 2>/dev/null; then
-  echo "lint.sh: eager forward/predict in lib/serve (use the batched VM entry points)" >&2
+  echo "lint.sh: eager forward/predict in lib/serve (use Costmodel.feature_batch or Tuner.query_batch)" >&2
   status=1
 fi
 # The same rule for phase B's one path (DESIGN.md §10): serving reaches the
 # model only through Tuner.query_batch, on one model per kernel slot that
 # only the loop's thread touches.  The unbatched Tuner.query gives up the
-# batched plan execution; Pool.map_workers and Costmodel.replicate bring
+# batch's shared feature pass; Pool.map_workers and Costmodel.replicate bring
 # back per-domain replicas, one feature cache per domain and a second path
 # to test.  The pool's place is Tuner.tune's measurement fan-out.
 if grep -rnE 'Tuner\.query([^_]|$)|map_workers|Costmodel\.replicate' lib/serve 2>/dev/null; then
   echo "lint.sh: unbatched query or per-domain replicas in lib/serve (use Tuner.query_batch ?pool)" >&2
-  status=1
-fi
-
-# The plan schedules and the layers compute (DESIGN.md §14): the VM binds
-# arena views and calls each layer's one forward kernel, so no float
-# arithmetic lives under lib/nn/vm — a second copy of a layer's math there
-# would be kept bitwise-equal to training by nothing but the parity tests.
-if grep -nE '[-+*/]\.' lib/nn/vm/*.ml; then
-  echo "lint.sh: float arithmetic in lib/nn/vm (move it into the layer's forward_into)" >&2
   status=1
 fi
 
@@ -95,11 +87,6 @@ dune build @faults || status=1
 # allocation budgets on the conv hot path and the stride-1 map build, and
 # the golden-artifact byte-identity check.
 dune build @perf || status=1
-
-# The @vm alias runs the inference-VM suite: compiled-plan/eager bitwise
-# parity on every served kernel, steady-state allocation budgets for
-# run_batch and the batched extractor, and the training-untouched gradcheck.
-dune build @vm || status=1
 
 # Exercise the multi-domain pool paths once per run: the parallel suite
 # (pool semantics, byte-identical artifacts, faults under parallel

@@ -422,6 +422,33 @@ let test_conv_backward_alloc_budget () =
     Alcotest.failf "conv forward+backward allocates %.0f B/call (budget %.0f)"
       per_iter alloc_budget_bytes
 
+(* A warm extractor forward (pyramid memoized on its input) — the feature
+   path of every prediction — may pay small per-forward costs (the pooled
+   concat, the fresh feature), nothing proportional to sites or pairs: one
+   word per site would already be 2.4 KB on these 300–600-site patterns. *)
+let test_extractor_forward_alloc_budget () =
+  let r = rng () in
+  let e = Waco.Extractor.create r Waco.Extractor.Waconet in
+  let inputs =
+    Array.init 32 (fun i ->
+        let m =
+          if i mod 2 = 0 then Gen.uniform r ~nrows:96 ~ncols:96 ~nnz:(300 + (i * 13))
+          else Gen.rmat r ~nnz:(250 + (i * 11)) ~nrows:128 ~ncols:128
+        in
+        Waco.Extractor.input_of_coo ~id:(Printf.sprintf "ab%d" i) m)
+  in
+  let batch () = Array.iter (fun i -> ignore (Waco.Extractor.forward e i)) inputs in
+  for _ = 1 to 3 do batch () done;
+  let iters = 20 in
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to iters do batch () done;
+  let per_forward =
+    (Gc.allocated_bytes () -. a0) /. float_of_int (iters * Array.length inputs)
+  in
+  if per_forward > 1024.0 then
+    Alcotest.failf "warm extractor forward allocates %.0f B/call (budget 1024)"
+      per_forward
+
 (* --- golden artifact byte-identity ---
 
    A short fully-seeded training run must save exactly the same bytes as the
@@ -470,6 +497,8 @@ let () =
           Alcotest.test_case "conv forward+backward" `Quick
             test_conv_backward_alloc_budget;
           Alcotest.test_case "stride-1 map build" `Quick test_map_build_alloc_budget;
+          Alcotest.test_case "extractor forward warm" `Quick
+            test_extractor_forward_alloc_budget;
         ] );
       ( "byte identity",
         [ Alcotest.test_case "golden artifact" `Slow test_golden_artifact_digest ] );

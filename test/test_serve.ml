@@ -1071,7 +1071,7 @@ let test_live_heap_per_pattern () =
     Gc.compact ();
     float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6
   in
-  (* Warm-up: plans compiled and scratch grown before the baseline. *)
+  (* Warm-up: scratch grown before the baseline. *)
   send 9000;
   let before = live_mb () in
   let n = 32 in

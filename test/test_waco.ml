@@ -261,6 +261,126 @@ let test_feature_memo_bound () =
   done;
   Alcotest.(check bool) "batches stay within capacity" true (!peak <= cap)
 
+(* --- bitwise parity: the split inference path vs the full-row MLP --- *)
+
+(* Every kernel the serving daemon conditions on, with sampling dims of the
+   matching sparse rank. *)
+let parity_kernels =
+  [
+    ("spmv", Schedule.Algorithm.Spmv, [| 96; 96 |]);
+    ("spmm", Schedule.Algorithm.Spmm 8, [| 96; 96 |]);
+    ("sddmm", Schedule.Algorithm.Sddmm 8, [| 96; 96 |]);
+    ("mttkrp", Schedule.Algorithm.Mttkrp 8, [| 48; 48; 48 |]);
+  ]
+
+let parity_rng () = Rng.create 20230325
+
+let check_bits what (want : float array) (got : float array) =
+  if Array.length want <> Array.length got then
+    Alcotest.failf "%s: length %d vs %d" what (Array.length want)
+      (Array.length got);
+  Array.iteri
+    (fun i w ->
+      if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+        Alcotest.failf "%s: element %d: full row %h vs split %h" what i w got.(i))
+    want
+
+(* [Costmodel.predict] (memoized feature, embedder, prefix-seeded tail)
+   against the feature, embeddings and full rows built by hand. *)
+let check_predict_parity ~what model input scheds =
+  let kernel = Waco.Costmodel.kernel_of model in
+  let ext = model.Waco.Costmodel.extractor in
+  let emb = model.Waco.Costmodel.embedder in
+  let ed = Waco.Embedder.out_dim emb in
+  List.iter
+    (fun batch ->
+      let sub = Array.sub scheds 0 batch in
+      let feature = Array.copy (Waco.Extractor.forward ext input) in
+      let embs = Array.sub (Waco.Embedder.forward emb sub) 0 (batch * ed) in
+      let rows = Waco.Costmodel.rows_of ~kernel ~feature ~embs ~batch in
+      let want =
+        Array.sub
+          (Nn.Mlp.forward model.Waco.Costmodel.predictor ~batch rows)
+          0 batch
+      in
+      let got = Waco.Costmodel.predict model input sub in
+      check_bits (Printf.sprintf "%s batch=%d" what batch) want got)
+    [ 1; 7; 32 ]
+
+let test_predict_parity () =
+  List.iter
+    (fun (name, algo, dims) ->
+      let r = parity_rng () in
+      let model = Waco.Costmodel.create (Rng.create 77) algo in
+      let m = Gen.uniform r ~nrows:96 ~ncols:96 ~nnz:600 in
+      let input = Waco.Extractor.input_of_coo ~id:("p_" ^ name) m in
+      let scheds = Array.init 32 (fun _ -> Schedule.Space.sample r algo ~dims) in
+      check_predict_parity ~what:("predict " ^ name) model input scheds)
+    parity_kernels
+
+(* Trained weights: in-place optimizer updates must reach every inference
+   path.  Recipe mirrors test_perf's golden run. *)
+let test_trained_predict_parity () =
+  let machine = Machine_model.Machine.intel_like in
+  let algo = Schedule.Algorithm.Spmm 8 in
+  let trng = Rng.create 4242 in
+  let mats =
+    Gen.suite trng ~count:4 ~max_dim:96 ~max_nnz:2000
+    |> List.map (fun (g : Gen.named) -> (g.Gen.name, g.Gen.matrix))
+  in
+  let data =
+    Waco.Dataset.of_matrices trng machine algo mats ~schedules_per_matrix:6
+      ~valid_fraction:0.25
+  in
+  let model = Waco.Costmodel.create (Rng.create 77) algo in
+  let _curve = Waco.Trainer.train trng model data ~epochs:2 in
+  Waco.Costmodel.clear_feature_cache model;
+  let r = parity_rng () in
+  let m = Gen.uniform r ~nrows:96 ~ncols:96 ~nnz:600 in
+  let input = Waco.Extractor.input_of_coo ~id:"trained" m in
+  let scheds =
+    Array.init 32 (fun _ -> Schedule.Space.sample r algo ~dims:[| 96; 96 |])
+  in
+  check_predict_parity ~what:"trained predict" model input scheds
+
+(* The graph walk's scorer runs the predictor's first layer over the
+   feature columns once per query and resumes that reduction per batch of
+   embeddings (DESIGN.md §14).  Every prediction must equal Nn.Mlp.forward
+   over the full row, bit for bit, for each kernel's one-hot.  All four
+   scorers of a feature are built before any of them runs, so each call
+   follows another scorer's and must run from its own prefix. *)
+let test_tail_prefix_parity () =
+  let r = parity_rng () in
+  let fd = Waco.Config.feature_dim and ed = Waco.Config.embed_dim in
+  List.iter
+    (fun (name, algo, _) ->
+      let model = Waco.Costmodel.create (Rng.create 91) algo in
+      for trial = 0 to 1 do
+        let feature = Array.init fd (fun _ -> Rng.float_in r (-4.0) 4.0) in
+        let scorers =
+          List.map
+            (fun kernel -> (kernel, Waco.Costmodel.tail_scorer ~kernel model ~feature))
+            Waco.Kernel.all
+        in
+        List.iter
+          (fun batch ->
+            let embs = Array.init (batch * ed) (fun _ -> Rng.float_in r (-3.0) 3.0) in
+            List.iter
+              (fun (kernel, score) ->
+                let rows = Waco.Costmodel.rows_of ~kernel ~feature ~embs ~batch in
+                let want =
+                  Array.sub (Nn.Mlp.forward model.Waco.Costmodel.predictor ~batch rows) 0 batch
+                in
+                check_bits
+                  (Printf.sprintf "%s trial %d %s batch=%d" name trial
+                     (Waco.Kernel.name kernel) batch)
+                  want
+                  (Array.sub (score ~embs ~batch) 0 batch))
+              scorers)
+          [ 1; 3; 4; 5; 7; 32 ]
+      done)
+    parity_kernels
+
 let () =
   Alcotest.run "waco"
     [
@@ -282,5 +402,12 @@ let () =
           Alcotest.test_case "dataset shapes" `Quick test_dataset_shapes;
           Alcotest.test_case "loss decreases" `Slow test_training_reduces_loss;
           Alcotest.test_case "tuner end-to-end" `Slow test_tuner_end_to_end;
+        ] );
+      ( "bitwise parity",
+        [
+          Alcotest.test_case "costmodel predict" `Quick test_predict_parity;
+          Alcotest.test_case "prefix-seeded tail" `Quick test_tail_prefix_parity;
+          Alcotest.test_case "trained costmodel predict" `Slow
+            test_trained_predict_parity;
         ] );
     ]
