@@ -575,10 +575,16 @@ let query_cmd =
                 | None ->
                     if a.Serve.Protocol.degraded then
                       Printf.printf "degraded : yes\n");
+                let s = a.Serve.Protocol.spans in
                 List.iter
                   (fun (name, secs) ->
                     Printf.printf "span     : %-8s %.4fs\n" name secs)
-                  a.Serve.Protocol.spans
+                  [
+                    ("parse", s.Serve.Protocol.parse_s);
+                    ("extract", s.Serve.Protocol.extract_s);
+                    ("traverse", s.Serve.Protocol.traverse_s);
+                    ("measure", s.Serve.Protocol.measure_s);
+                  ]
             | Error e ->
                 Printf.eprintf "waco query: %s\n%!" e;
                 failed := true

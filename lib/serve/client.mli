@@ -42,7 +42,10 @@ val query :
   ?timeout_s:float ->
   t -> Protocol.source ->
   (Protocol.answer, string) result
-(** One tuning request.  [measure] (default [true]) [false] asks for the
+(** One tuning request.  The source is a daemon-side [Path] or an inline
+    matrix, normally a [Matrix] ({!Protocol.source}); either inline form
+    goes out as the same entry lines.  [measure] (default [true]) [false]
+    asks for the
     predict-only fast path.  [deadline_ms] > 0 gives the daemon an answer
     budget; a blown budget comes back as a degraded answer with reason
     ["deadline"], not an error.  [kernel] names the daemon slot (and cache

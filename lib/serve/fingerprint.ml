@@ -47,11 +47,25 @@ let of_coo (m : Coo.t) =
   in
   { nrows = m.Coo.nrows; ncols = m.Coo.ncols; nnz; sketch }
 
+let hex_digits = "0123456789abcdef"
+
+(* The sketch's hex digits are written from a digit table into one buffer:
+   each byte as two lowercase digits, exactly what "%02x" printed. *)
 let key t =
-  let buf = Buffer.create (16 + (2 * cells * cells)) in
-  Printf.bprintf buf "fp1:%dx%d:%d:" t.nrows t.ncols t.nnz;
-  Array.iter (fun b -> Printf.bprintf buf "%02x" b) t.sketch;
-  Buffer.contents buf
+  let prefix =
+    String.concat ""
+      [ "fp1:"; string_of_int t.nrows; "x"; string_of_int t.ncols; ":";
+        string_of_int t.nnz; ":" ]
+  in
+  let p = String.length prefix in
+  let b = Bytes.create (p + (2 * Array.length t.sketch)) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Array.iteri
+    (fun i v ->
+      Bytes.unsafe_set b (p + (2 * i)) hex_digits.[(v lsr 4) land 15];
+      Bytes.unsafe_set b (p + (2 * i) + 1) hex_digits.[v land 15])
+    t.sketch;
+  Bytes.unsafe_to_string b
 
 let of_key s =
   match String.split_on_char ':' s with

@@ -5,10 +5,10 @@
    JSON dependency in the image).
 
    Per-request trace spans are collected in a [span] record owned by one
-   request (no locking) and folded into the cumulative counters once the
-   request completes. *)
+   request (no locking), folded into the cumulative counters once the
+   request completes, and carried as they are by the request's answer. *)
 
-type span = {
+type span = Protocol.span = {
   mutable parse_s : float;
   mutable extract_s : float;
   mutable traverse_s : float;
@@ -17,14 +17,6 @@ type span = {
 
 let span_create () =
   { parse_s = 0.0; extract_s = 0.0; traverse_s = 0.0; measure_s = 0.0 }
-
-let span_fields s =
-  [
-    ("parse", s.parse_s);
-    ("extract", s.extract_s);
-    ("traverse", s.traverse_s);
-    ("measure", s.measure_s);
-  ]
 
 type t = {
   mu : Mutex.t;

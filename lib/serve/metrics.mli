@@ -4,8 +4,9 @@
     [stats] request. *)
 
 (** One request's trace, owned by that request (no locking); folded into
-    the cumulative phase counters via {!record_span} on completion. *)
-type span = {
+    the cumulative phase counters via {!record_span} on completion, and
+    the answer's [spans] as it is. *)
+type span = Protocol.span = {
   mutable parse_s : float;
   mutable extract_s : float;
   mutable traverse_s : float;
@@ -13,10 +14,6 @@ type span = {
 }
 
 val span_create : unit -> span
-
-val span_fields : span -> (string * float) list
-(** Phase name -> seconds, in phase order (the wire format of an answer's
-    trace). *)
 
 type t = {
   mu : Mutex.t;

@@ -88,6 +88,7 @@ let decode_frame (buf : string) : progress =
 type source =
   | Path of string  (** a MatrixMarket file the daemon can read *)
   | Inline of { nrows : int; ncols : int; entries : (int * int * float) array }
+  | Matrix of Sptensor.Coo.t
 
 type query = {
   qid : string;
@@ -110,14 +111,27 @@ let max_inline_nnz = 1_000_000
    never overflow or go absurd: one hour. *)
 let max_deadline_ms = 3_600_000
 
+(* One entry line: [string_of_int] coordinates and a "%h" hex-float value —
+   bit-exact like the old "%.17g" (the decoder's [float_of_string] accepts
+   both grammars) but formatted by mantissa bit manipulation instead of a
+   ~600ns decimal conversion. *)
+let add_entry buf r c v =
+  Buffer.add_string buf (string_of_int r);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (string_of_int c);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Printf.sprintf "%h" v);
+  Buffer.add_char buf '\n'
+
 let encode_query (q : query) =
   let buf =
     Buffer.create
       (match q.source with
-      (* Entry lines run ~26 bytes ("r c " plus a %.17g float); sizing the
+      (* Entry lines run ~26 bytes ("r c " plus a %h float); sizing the
          buffer up front keeps the encoder from doubling-and-copying its way
          through a large inline matrix. *)
       | Inline { entries; _ } -> 64 + (32 * Array.length entries)
+      | Matrix m -> 64 + (32 * Sptensor.Coo.nnz m)
       | Path _ -> 256)
   in
   if String.contains q.qid '\n' then invalid_arg "Protocol.encode_query: id with newline";
@@ -127,26 +141,22 @@ let encode_query (q : query) =
   | Some k -> Printf.bprintf buf "kernel=%s\n" (Waco.Kernel.name k)
   | None -> ());
   if q.deadline_ms > 0 then Printf.bprintf buf "deadline_ms=%d\n" q.deadline_ms;
+  let inline_header nrows ncols nnz =
+    Printf.bprintf buf "source=inline\ndims=%d %d\nnnz=%d\n" nrows ncols nnz
+  in
   (match q.source with
   | Path p ->
       if String.contains p '\n' then invalid_arg "Protocol.encode_query: path with newline";
       Printf.bprintf buf "source=path\npath=%s\n" p
   | Inline { nrows; ncols; entries } ->
-      Printf.bprintf buf "source=inline\ndims=%d %d\nnnz=%d\n" nrows ncols
-        (Array.length entries);
-      (* The entry-line hot loop: [string_of_int] coordinates and a "%h"
-         hex-float value — bit-exact like the old "%.17g" (the decoder's
-         [float_of_string] accepts both grammars) but formatted by mantissa
-         bit manipulation instead of a ~600ns decimal conversion. *)
-      Array.iter
-        (fun (r, c, v) ->
-          Buffer.add_string buf (string_of_int r);
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int c);
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (Printf.sprintf "%h" v);
-          Buffer.add_char buf '\n')
-        entries);
+      inline_header nrows ncols (Array.length entries);
+      Array.iter (fun (r, c, v) -> add_entry buf r c v) entries
+  | Matrix m ->
+      inline_header m.Sptensor.Coo.nrows m.Sptensor.Coo.ncols (Sptensor.Coo.nnz m);
+      for k = 0 to Sptensor.Coo.nnz m - 1 do
+        add_entry buf m.Sptensor.Coo.rows.(k) m.Sptensor.Coo.cols.(k)
+          m.Sptensor.Coo.vals.(k)
+      done);
   Buffer.contents buf
 
 let request_to_frame = function
@@ -164,14 +174,12 @@ let kv line =
 
 let ( let* ) r f = Result.bind r f
 
-(* A query body is scanned in one forward pass over the raw string instead
-   of being split into a line list: on the serving hot path an inline query
-   is mostly entry lines ("r c v"), and the split-filter-split pipeline
-   allocated three short-lived lists per entry.  Semantics are unchanged:
-   empty lines are skipped (and not counted against nnz), the header ends at
-   the first non-empty line without '=', duplicate header keys resolve to
-   the last occurrence, and entry lines are strict single-space
-   three-field records. *)
+(* A query body is scanned in one forward pass over the raw string: the
+   header's key=value lines, then the entry lines straight into the
+   columns of the decoded matrix.  Empty lines are skipped (and not counted
+   against nnz), the header ends at the first non-empty line without '=',
+   duplicate header keys resolve to the last occurrence, and entry lines
+   are strict single-space three-field records. *)
 
 (* End of the line starting at [i]: the next '\n', or the end of the body. *)
 let line_end body i =
@@ -190,37 +198,15 @@ let count_lines body i =
   in
   go 0 i
 
-(* Coordinate token [i, j): the common shape — a plain run of at most 18
-   decimal digits (what the encoder emits, and short enough that the
-   accumulator cannot overflow) — parses inline without a substring; any
-   other shape falls back to [int_of_string_opt] on the substring, so the
-   accepted grammar ("0x1f", "1_000", "+3"...) is exactly the stdlib's.
+(* Coordinate token [i, j) through [int_of_string_opt] on the substring, so
+   the accepted grammar ("0x1f", "1_000", "+3"...) is exactly the stdlib's
+   (the encoder's plain digit runs parse in place in [decode_entries]).
    Returns a negative sentinel on failure: the caller's [>= 0] bounds check
-   rejects it just as it rejected a parsed negative before. *)
+   rejects it just as it rejects a parsed negative. *)
 let parse_coord body i j =
-  let len = j - i in
-  if len >= 1 && len <= 18 then begin
-    let v = ref 0 in
-    let k = ref i in
-    let ok = ref true in
-    while !ok && !k < j do
-      let c = Char.code (String.unsafe_get body !k) - Char.code '0' in
-      if c >= 0 && c <= 9 then begin
-        v := (!v * 10) + c;
-        incr k
-      end
-      else ok := false
-    done;
-    if !ok then !v
-    else
-      match int_of_string_opt (String.sub body i len) with
-      | Some v -> v
-      | None -> min_int
-  end
-  else
-    match int_of_string_opt (String.sub body i len) with
-    | Some v -> v
-    | None -> min_int
+  match int_of_string_opt (String.sub body i (j - i)) with
+  | Some v -> v
+  | None -> min_int
 
 (* Parse one entry line [i, j): "r c v", exactly two spaces, the same field
    boundaries [String.split_on_char ' '] produced (so "1  2 3" and trailing
@@ -249,6 +235,102 @@ let parse_entry body i j ~nrows ~ncols ~store =
               else bad ())
       | _ -> bad ())
   | _ -> bad ()
+
+(* Shortest entry line: "r c v" and its newline. *)
+let min_entry_bytes = 6
+
+(* Decode the entry block from [off] into the columns of a [Matrix]: one
+   pass, no line count first and no triplet array.  Lines in the encoder's
+   own shape — decimal coordinates of at most 18 digits, single spaces, one
+   value with no spaces — parse in place, the value through
+   [float_of_string_opt] on its substring; every other line goes through
+   [parse_entry], so the accepted grammar and every error string are the
+   line-by-line ones.  As when lines were counted before parsing, a wrong
+   entry count beats a malformed line: on the first bad line the rest of
+   the body is counted, and the count error wins if there is one.
+
+   The columns are sized by what the body can hold, never by the claim
+   alone: [nnz] lines take at least [min_entry_bytes * nnz - 1] bytes, so a
+   tiny body declaring a huge [nnz] allocates a few words, and a line that
+   parses always finds a free slot.  The bound-checked stores below cannot
+   fail for the same reason. *)
+let decode_entries body off ~nrows ~ncols ~nnz =
+  let n = String.length body in
+  let cap = min nnz ((n - off + 1) / min_entry_bytes) in
+  let rows = Array.make cap 0 and cols = Array.make cap 0 in
+  let vals = Array.make cap 0.0 in
+  let count_error have = Error (Printf.sprintf "nnz=%d but %d entry lines" nnz have) in
+  (* The verdict once line [k] (starting at [i]) is malformed with [err]. *)
+  let fail k i err =
+    let have = k + count_lines body i in
+    if have <> nnz then count_error have else err
+  in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec scan k i =
+    if i >= n then
+      if k = nnz then Ok (Matrix (Sptensor.Coo.of_columns ~nrows ~ncols rows cols vals))
+      else count_error k
+    else if String.unsafe_get body i = '\n' then scan k (i + 1)
+    else if k >= cap then
+      (* More lines than declared (the count error wins), or than the body
+         can hold, where this line cannot parse and its error is the
+         verdict if the count is right. *)
+      fail k i
+        (match parse_entry body i (line_end body i) ~nrows ~ncols ~store:(fun _ _ _ -> ()) with
+        | Error _ as e -> e
+        | Ok () -> count_error (k + count_lines body i))
+    else begin
+      (* Fast path: the encoder's own line shape.  Coordinates of at most
+         18 digits cannot overflow the accumulators. *)
+      let p = ref i and r = ref 0 and c = ref 0 in
+      while !p < n && is_digit (String.unsafe_get body !p) do
+        r := (!r * 10) + (Char.code (String.unsafe_get body !p) - 48);
+        incr p
+      done;
+      let rlen = !p - i and cs = !p + 1 in
+      let fast = ref (rlen >= 1 && rlen <= 18 && !p < n && String.unsafe_get body !p = ' ') in
+      if !fast then begin
+        p := cs;
+        while !p < n && is_digit (String.unsafe_get body !p) do
+          c := (!c * 10) + (Char.code (String.unsafe_get body !p) - 48);
+          incr p
+        done;
+        fast :=
+          !p - cs >= 1 && !p - cs <= 18 && !p < n
+          && String.unsafe_get body !p = ' '
+          && !r < nrows && !c < ncols
+      end;
+      let vs = !p + 1 in
+      if !fast then begin
+        p := vs;
+        while
+          !p < n
+          && (let ch = String.unsafe_get body !p in
+              ch <> '\n' && ch <> ' ')
+        do
+          incr p
+        done;
+        fast := !p > vs && (!p = n || String.unsafe_get body !p = '\n')
+      end;
+      match if !fast then float_of_string_opt (String.sub body vs (!p - vs)) else None with
+      | Some v when Float.is_finite v ->
+          rows.(k) <- !r;
+          cols.(k) <- !c;
+          vals.(k) <- v;
+          scan (k + 1) (!p + 1)
+      | _ -> (
+          let j = line_end body i in
+          match
+            parse_entry body i j ~nrows ~ncols ~store:(fun r c v ->
+                rows.(k) <- r;
+                cols.(k) <- c;
+                vals.(k) <- v)
+          with
+          | Ok () -> scan (k + 1) (j + 1)
+          | Error _ as e -> fail k i e)
+    end
+  in
+  scan 0 off
 
 let decode_query body : (query, string) result =
   let n = String.length body in
@@ -320,27 +402,7 @@ let decode_query body : (query, string) result =
             in
             match int_of_string_opt nnz_s with
             | Some nnz when nnz >= 0 && nnz <= max_inline_nnz ->
-                let have = count_lines body entry_off in
-                if have <> nnz then
-                  Error (Printf.sprintf "nnz=%d but %d entry lines" nnz have)
-                else begin
-                  let entries = Array.make nnz (0, 0, 0.0) in
-                  (* Fill [entries] in order; the first malformed line wins
-                     the error, as the old fold did. *)
-                  let rec fill k i =
-                    if k = nnz then Ok (Inline { nrows; ncols; entries })
-                    else
-                      let j = line_end body i in
-                      if j = i then fill k (j + 1)
-                      else
-                        let* () =
-                          parse_entry body i j ~nrows ~ncols ~store:(fun r c v ->
-                              entries.(k) <- (r, c, v))
-                        in
-                        fill (k + 1) (j + 1)
-                  in
-                  fill 0 entry_off
-                end
+                decode_entries body entry_off ~nrows ~ncols ~nnz
             | _ -> Error (Printf.sprintf "bad nnz %S" nnz_s))
         | _ -> Error "source=inline needs dims and nnz fields")
     | Some other -> Error (Printf.sprintf "unknown source %S" other)
@@ -359,6 +421,16 @@ let request_of_frame ~msg body : (request, string) result =
 
 (* --- response bodies --- *)
 
+(* One request's trace in seconds per phase.  An all-float record is one
+   flat block of four unboxed floats: a client that keeps every answer
+   keeps 5 words of trace per answer, not a list of named pairs. *)
+type span = {
+  mutable parse_s : float;
+  mutable extract_s : float;
+  mutable traverse_s : float;
+  mutable measure_s : float;
+}
+
 type answer = {
   schedule : string;  (** dataset-encoded SuperSchedule ([Sched_io]) *)
   predicted : float;
@@ -366,8 +438,7 @@ type answer = {
   cache_hit : bool;
   degraded : bool;
   degraded_reason : string option;
-  spans : (string * float) list;
-      (** per-request trace: phase name -> seconds, in phase order *)
+  spans : span;
 }
 
 type response =
@@ -392,7 +463,10 @@ let encode_answer (a : answer) =
   (match a.degraded_reason with
   | Some r -> Printf.bprintf buf "reason=%s\n" (String.map (fun c -> if c = '\n' then ' ' else c) r)
   | None -> ());
-  List.iter (fun (k, s) -> Printf.bprintf buf "span.%s=%h\n" k s) a.spans;
+  (* The wire keeps one named line per phase, in phase order. *)
+  let s = a.spans in
+  Printf.bprintf buf "span.parse=%h\nspan.extract=%h\nspan.traverse=%h\nspan.measure=%h\n"
+    s.parse_s s.extract_s s.traverse_s s.measure_s;
   Buffer.contents buf
 
 let response_to_frame = function
@@ -427,15 +501,14 @@ let decode_answer body : (answer, string) result =
     | Some s -> ( match float_of_string_opt s with Some v -> v | None -> default)
     | None -> default
   in
+  (* A phase missing from the body, or unreadable, reads 0 seconds. *)
   let spans =
-    List.filter_map
-      (fun (k, v) ->
-        if String.starts_with ~prefix:"span." k then
-          Option.map
-            (fun s -> (String.sub k 5 (String.length k - 5), s))
-            (float_of_string_opt v)
-        else None)
-      fields
+    {
+      parse_s = fget "span.parse" 0.0;
+      extract_s = fget "span.extract" 0.0;
+      traverse_s = fget "span.traverse" 0.0;
+      measure_s = fget "span.measure" 0.0;
+    }
   in
   Ok
     {

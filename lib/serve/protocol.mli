@@ -52,6 +52,14 @@ val decode_frame : string -> progress
 type source =
   | Path of string  (** a MatrixMarket file the daemon can read *)
   | Inline of { nrows : int; ncols : int; entries : (int * int * float) array }
+      (** inline triplets in any order, duplicates summed by the daemon;
+          kept for callers that build triplets.  It never comes out of the
+          decoder: on the wire it is the same [source=inline] block as
+          {!Matrix} and decodes as one. *)
+  | Matrix of Sptensor.Coo.t
+      (** an inline matrix: what every decoded [source=inline] body is.
+          Encoded as the same entry lines an [Inline] of the matrix's
+          triplets in storage order encodes to, byte for byte. *)
 
 type query = {
   qid : string;  (** client-chosen label, echoed in traces; not a cache key *)
@@ -81,9 +89,25 @@ val request_to_frame : request -> string
 val request_of_frame : msg:int -> string -> (request, string) result
 (** Total: structural damage (bad dims, out-of-range coordinates,
     non-finite values, entry-count mismatch) is an [Error], never an
-    exception. *)
+    exception.  An inline body decodes in one pass straight into the
+    columns of a {!Matrix} (sorted and summed only when the lines are not
+    already in row-major order); columns are sized by what the body can
+    hold, so a short body declaring a huge [nnz] allocates nothing large.
+    The router and the daemon decode with this same function. *)
 
 (** {2 Responses} *)
+
+(** One request's trace: seconds per phase, in phase order.  The daemon
+    fills it while it answers ({!Metrics.span} is this type); on the wire
+    it is one [span.NAME=%h] line per phase — [parse], [extract],
+    [traverse], [measure] — and a phase missing from a decoded body reads
+    0. *)
+type span = {
+  mutable parse_s : float;
+  mutable extract_s : float;
+  mutable traverse_s : float;
+  mutable measure_s : float;
+}
 
 type answer = {
   schedule : string;  (** dataset-encoded SuperSchedule ([Sched_io]) *)
@@ -92,8 +116,7 @@ type answer = {
   cache_hit : bool;
   degraded : bool;
   degraded_reason : string option;
-  spans : (string * float) list;
-      (** per-request trace: phase name -> seconds, in phase order *)
+  spans : span;  (** per-request trace *)
 }
 
 type response =

@@ -469,17 +469,15 @@ let push_slot ?(is_query = false) ?(raw = "") ?(skey = "") ?(measure = false)
    computed with the {e same} [Fingerprint] the shards key their caches
    by, so tests and operators can predict placement from a key — and the
    path string for a path source (the file lives shard-side; reading it
-   here would double the IO and put the router in the parse business).  A
-   matrix the router cannot fingerprint (the shard will answer the
-   authoritative error) routes by its qid — any stable key works for a
-   query whose answer is an error. *)
+   here would double the IO and put the router in the parse business).
+   The router's queries come from [Protocol.request_of_frame], which
+   decodes every inline body into a [Matrix] the shard decodes
+   identically; an [Inline] never arrives, and would route by its qid. *)
 let routing_key_of (q : Protocol.query) =
   match q.Protocol.source with
   | Protocol.Path p -> p
-  | Protocol.Inline { nrows; ncols; entries } -> (
-      match Sptensor.Coo.of_triplet_array ~nrows ~ncols entries with
-      | m -> Ring.routing_key (Fingerprint.key (Fingerprint.of_coo m))
-      | exception Invalid_argument _ -> q.Protocol.qid)
+  | Protocol.Matrix m -> Ring.routing_key (Fingerprint.key (Fingerprint.of_coo m))
+  | Protocol.Inline _ -> q.Protocol.qid
 
 let handle_query t conn (q : Protocol.query) raw =
   if t.outstanding >= t.max_pending then begin

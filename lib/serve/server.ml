@@ -181,6 +181,7 @@ let coo_of_source = function
       | exception Sptensor.Mmio.Parse_error e ->
           Error (Printf.sprintf "%s: %s" p e)
       | exception Sys_error e -> Error e)
+  | Protocol.Matrix m -> Ok m
   | Protocol.Inline { nrows; ncols; entries } -> (
       match Sptensor.Coo.of_triplet_array ~nrows ~ncols entries with
       | m -> Ok m
@@ -226,7 +227,7 @@ let answer_of_result ~cache_hit ~span (r : Waco.Tuner.result) : Protocol.answer 
     cache_hit;
     degraded = r.Waco.Tuner.degraded;
     degraded_reason = r.Waco.Tuner.degraded_reason;
-    spans = Metrics.span_fields span;
+    spans = span;
   }
 
 let answer_of_entry ~span (e : Cache.entry) : Protocol.answer =
@@ -237,7 +238,7 @@ let answer_of_entry ~span (e : Cache.entry) : Protocol.answer =
     cache_hit = true;
     degraded = e.Cache.degraded;
     degraded_reason = None;
-    spans = Metrics.span_fields span;
+    spans = span;
   }
 
 (* [deadline_ms] on the wire -> an absolute expiry instant, from the moment

@@ -19,17 +19,16 @@ let density t =
   if t.nrows = 0 || t.ncols = 0 then 0.0
   else float_of_int (nnz t) /. (float_of_int t.nrows *. float_of_int t.ncols)
 
-(* Build from unordered triplets; sorts and sums duplicates.  Entries whose
-   value is exactly 0.0 are kept (a stored zero is still part of the pattern,
+let check_bounds ~nrows ~ncols i j =
+  if i < 0 || i >= nrows || j < 0 || j >= ncols then
+    invalid_arg
+      (Printf.sprintf "Coo.of_triplets: (%d,%d) out of %dx%d" i j nrows ncols)
+
+(* Sort-and-sum over a triplet array the caller gives up (it is sorted in
+   place): duplicates are summed in sorted order.  Entries whose value is
+   exactly 0.0 are kept (a stored zero is still part of the pattern,
    matching Matrix-Market semantics). *)
-let of_triplets ~nrows ~ncols triplets =
-  List.iter
-    (fun (i, j, _) ->
-      if i < 0 || i >= nrows || j < 0 || j >= ncols then
-        invalid_arg
-          (Printf.sprintf "Coo.of_triplets: (%d,%d) out of %dx%d" i j nrows ncols))
-    triplets;
-  let arr = Array.of_list triplets in
+let sort_and_sum ~nrows ~ncols arr =
   Array.sort
     (fun (i1, j1, _) (i2, j2, _) -> if i1 <> i2 then Int.compare i1 i2 else Int.compare j1 j2)
     arr;
@@ -60,26 +59,27 @@ let of_triplets ~nrows ~ncols triplets =
   done;
   { nrows; ncols; rows; cols; vals }
 
-(* [of_triplets] over an array, without the list round-trip.  The serving
-   hot path hands over wire-decoded entries that are almost always already
-   row-major sorted and duplicate-free (encoders emit canonical COO); one
-   ordering scan makes that case three column copies with no sort, no
-   triplet-array clone and no dedup pass.  Out-of-order input falls back to
-   the sort-and-sum construction on a private copy ([a] is never mutated). *)
+(* Build from unordered triplets; sorts and sums duplicates. *)
+let of_triplets ~nrows ~ncols triplets =
+  List.iter (fun (i, j, _) -> check_bounds ~nrows ~ncols i j) triplets;
+  sort_and_sum ~nrows ~ncols (Array.of_list triplets)
+
+(* [of_triplets] over an array, without the list round-trip.  Input that is
+   already row-major sorted and duplicate-free (what encoders of canonical
+   COO emit) builds with one scan and three column copies; anything else
+   goes through the sort-and-sum on a private copy ([a] is never
+   mutated). *)
 let of_triplet_array ~nrows ~ncols (a : (int * int * float) array) =
   let n = Array.length a in
+  let sorted_unique = ref true in
   for k = 0 to n - 1 do
     let i, j, _ = Array.unsafe_get a k in
-    if i < 0 || i >= nrows || j < 0 || j >= ncols then
-      invalid_arg
-        (Printf.sprintf "Coo.of_triplets: (%d,%d) out of %dx%d" i j nrows ncols)
+    check_bounds ~nrows ~ncols i j;
+    if k > 0 then begin
+      let pi, pj, _ = Array.unsafe_get a (k - 1) in
+      if pi > i || (pi = i && pj >= j) then sorted_unique := false
+    end
   done;
-  let sorted_unique = ref true in
-  (for k = 1 to n - 1 do
-     let i1, j1, _ = Array.unsafe_get a (k - 1) in
-     let i2, j2, _ = Array.unsafe_get a k in
-     if i1 > i2 || (i1 = i2 && j1 >= j2) then sorted_unique := false
-   done);
   if !sorted_unique then begin
     let rows = Array.make n 0 in
     let cols = Array.make n 0 in
@@ -92,37 +92,31 @@ let of_triplet_array ~nrows ~ncols (a : (int * int * float) array) =
     done;
     { nrows; ncols; rows; cols; vals }
   end
-  else begin
-    let arr = Array.copy a in
-    Array.sort
-      (fun (i1, j1, _) (i2, j2, _) ->
-        if i1 <> i2 then Int.compare i1 i2 else Int.compare j1 j2)
-      arr;
-    let uniq = ref 0 in
-    Array.iteri
-      (fun k (i, j, _) ->
-        if k = 0 then incr uniq
-        else begin
-          let pi, pj, _ = arr.(k - 1) in
-          if i <> pi || j <> pj then incr uniq
-        end)
-      arr;
-    let rows = Array.make !uniq 0 in
-    let cols = Array.make !uniq 0 in
-    let vals = Array.make !uniq 0.0 in
-    let w = ref (-1) in
-    for k = 0 to n - 1 do
-      let i, j, v = arr.(k) in
-      if !w >= 0 && rows.(!w) = i && cols.(!w) = j then vals.(!w) <- vals.(!w) +. v
-      else begin
-        incr w;
-        rows.(!w) <- i;
-        cols.(!w) <- j;
-        vals.(!w) <- v
-      end
-    done;
-    { nrows; ncols; rows; cols; vals }
-  end
+  else sort_and_sum ~nrows ~ncols (Array.copy a)
+
+(* Build from three columns.  The serving protocol decodes wire entries
+   straight into columns that are almost always already row-major sorted
+   and duplicate-free: one scan checks bounds and order, and such columns
+   are adopted as they are — no copy, no sort.  Anything else goes through
+   the sort-and-sum on a triplet copy, so the columns are never mutated
+   and duplicate sums are those of [of_triplet_array]. *)
+let of_columns ~nrows ~ncols rows cols vals =
+  let n = Array.length rows in
+  if Array.length cols <> n || Array.length vals <> n then
+    invalid_arg "Coo.of_columns: columns of different lengths";
+  let sorted_unique = ref true in
+  for k = 0 to n - 1 do
+    let i = Array.unsafe_get rows k and j = Array.unsafe_get cols k in
+    check_bounds ~nrows ~ncols i j;
+    if k > 0 then begin
+      let pi = Array.unsafe_get rows (k - 1) in
+      if pi > i || (pi = i && Array.unsafe_get cols (k - 1) >= j) then
+        sorted_unique := false
+    end
+  done;
+  if !sorted_unique then { nrows; ncols; rows; cols; vals }
+  else
+    sort_and_sum ~nrows ~ncols (Array.init n (fun k -> (rows.(k), cols.(k), vals.(k))))
 
 let to_triplets t =
   let out = ref [] in

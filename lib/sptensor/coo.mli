@@ -21,10 +21,17 @@ val of_triplets : nrows:int -> ncols:int -> (int * int * float) list -> t
     [Invalid_argument] on out-of-bounds coordinates. *)
 
 val of_triplet_array : nrows:int -> ncols:int -> (int * int * float) array -> t
-(** {!of_triplets} over an array (the input is never mutated): same
-    validation, sorting and duplicate-summing semantics, but input that is
-    already row-major sorted and duplicate-free — the serving daemon's
-    wire-decoded entries — builds with three column copies and no sort. *)
+(** {!of_triplets} over an array (the input is never mutated). *)
+
+val of_columns : nrows:int -> ncols:int -> int array -> int array -> float array -> t
+(** [of_columns ~nrows ~ncols rows cols vals] builds from three equal-length
+    columns with the validation of {!of_triplets}.  Columns already
+    row-major sorted and duplicate-free — what the serving protocol decodes
+    from a canonical encoder — are adopted as they are, without a copy, so
+    the caller must not mutate them afterwards; any other input is sorted
+    and summed exactly as {!of_triplets} does, on a copy.  Raises
+    [Invalid_argument] on out-of-bounds coordinates or columns of
+    different lengths. *)
 
 val to_triplets : t -> (int * int * float) list
 (** Triplets in storage (row-major) order. *)

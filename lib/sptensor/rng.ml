@@ -99,8 +99,30 @@ let permutation t n =
   shuffle t p;
   p
 
-(* Power-law (Zipf-like) integer in [0, n) with exponent [alpha]:
-   P(k) proportional to (k+1)^-alpha.  Used for skewed row-degree patterns. *)
-let zipf t ~alpha n =
-  let w = Array.init n (fun k -> Float.pow (float_of_int (k + 1)) (-.alpha)) in
-  categorical t w
+(* Power-law (Zipf-like) sampler over [0, n) with exponent [alpha]:
+   P(k) proportional to (k+1)^-alpha.  Used for skewed row-degree patterns.
+   The prefix sums are built once, left to right, as the same float chain
+   [categorical] accumulates, and each draw binary-searches for the first
+   [k] with [x < prefix.(k)] ([n - 1] when none matches): positive weights
+   keep the chain monotone, so every draw equals [categorical]'s over the
+   same weights.  With [n <= 0] there is nothing to draw: the sampler
+   raises at its first draw, as [categorical] on no weights did. *)
+let zipf_sampler ~alpha n =
+  if n <= 0 then fun t -> int t n
+  else begin
+    let prefix = Array.make n 0.0 in
+    let acc = ref 0.0 in
+    for k = 0 to n - 1 do
+      acc := !acc +. Float.pow (float_of_int (k + 1)) (-.alpha);
+      prefix.(k) <- !acc
+    done;
+    let total = !acc in
+    fun t ->
+      let x = float t *. total in
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if x < prefix.(mid) then hi := mid else lo := mid + 1
+      done;
+      min !lo (n - 1)
+  end

@@ -58,5 +58,8 @@ val shuffle : t -> 'a array -> unit
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
 
-val zipf : t -> alpha:float -> int -> int
-(** Power-law integer in [\[0, n)]: [P(k)] proportional to [(k+1)^-alpha]. *)
+val zipf_sampler : alpha:float -> int -> t -> int
+(** [zipf_sampler ~alpha n] draws power-law integers in [\[0, n)]: [P(k)]
+    proportional to [(k+1)^-alpha].  The prefix table is built once, so
+    each draw is a binary search; draws equal {!categorical}'s over the
+    same weights.  With [n <= 0] each draw raises [Invalid_argument]. *)

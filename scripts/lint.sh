@@ -64,6 +64,46 @@ if grep -rnE 'Tuner\.query([^_]|$)|map_workers|Costmodel\.replicate' lib/serve 2
   status=1
 fi
 
+# Shared-state rule (DESIGN.md §10): no module-level mutable value in
+# lib/serve — no top-level (or struct-level) binding that is not a function
+# and holds a ref, an array, or a fresh Bytes/Buffer/Hashtbl, even one only
+# a closure captures.  The decoder, the fingerprint and the router run on
+# several domains of one process (a router and its shards in one benchmark
+# process), so a module-level scratch buffer is a data race between them.
+# Bindings are found by indentation: the file's top level and each
+# `module X = struct` body.
+if ! awk '
+  function indent(s) { match(s, /^ */); return RLENGTH }
+  FNR == 1 { if (open_b) check(); depth = 0; lvl[0] = 0 }
+  {
+    line = $0
+    gsub(/\(\*.*\*\)/, "", line)
+    if (line ~ /^[ \t]*$/) next
+    ind = indent(line)
+    # A binding whose right-hand side is still being collected.
+    if (open_b) {
+      if (ind > lvl[depth]) { rhs = rhs " " line; next }
+      check()
+    }
+    if (line ~ /^ *module [A-Z][A-Za-z0-9_]* *(:[^=]*)?= *struct/) { lvl[++depth] = ind + 2; next }
+    if (depth > 0 && ind == lvl[depth] - 2 && line ~ /^ *end/) { depth--; next }
+    if (ind == lvl[depth] && match(line, /^ *(let|and) +[a-z_][A-Za-z0-9_'"'"']* *(:[^=]*)?= */)) {
+      open_b = 1; where = FILENAME ":" FNR; rhs = substr(line, RLENGTH + 1)
+    }
+  }
+  END { if (open_b) check(); exit bad }
+  function check() {
+    open_b = 0
+    if (rhs ~ /^ *(fun|function)([^A-Za-z0-9_]|$)/) return
+    if (rhs ~ /(^|[^A-Za-z0-9_.])ref([^A-Za-z0-9_]|$)|\[\||Array\.make|Bytes\.create|Buffer\.create|Hashtbl\.create/) {
+      print where ": module-level mutable value"; bad = 1
+    }
+  }
+' lib/serve/*.ml; then
+  echo "lint.sh: module-level mutable value in lib/serve (allocate per call or per daemon)" >&2
+  status=1
+fi
+
 # The bench harness refuses an unknown target with exit 2 before running
 # anything, so a typo in a target name cannot pass as a green run.
 rc=0

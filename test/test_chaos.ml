@@ -69,12 +69,7 @@ let fixture =
 
 let small_matrix seed = Gen.uniform (Rng.create seed) ~nrows:48 ~ncols:48 ~nnz:220
 
-let inline_source m =
-  let entries =
-    Array.init (Coo.nnz m) (fun k ->
-        (m.Coo.rows.(k), m.Coo.cols.(k), m.Coo.vals.(k)))
-  in
-  Serve.Protocol.Inline { nrows = m.Coo.nrows; ncols = m.Coo.ncols; entries }
+let inline_source m = Serve.Protocol.Matrix m
 
 (* --- trampolines ------------------------------------------------------ *)
 (* OCaml 5 forbids [Unix.fork] once any domain has been spawned, and the

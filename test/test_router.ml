@@ -76,12 +76,7 @@ let () =
        with _ -> exit 1);
       exit 0
 
-let inline_source m =
-  let entries =
-    Array.init (Coo.nnz m) (fun k ->
-        (m.Coo.rows.(k), m.Coo.cols.(k), m.Coo.vals.(k)))
-  in
-  Serve.Protocol.Inline { nrows = m.Coo.nrows; ncols = m.Coo.ncols; entries }
+let inline_source m = Serve.Protocol.Matrix m
 
 let query_of ?(measure = true) ?(qid = "q") ?(deadline_ms = 0) ?kernel m =
   { Serve.Protocol.qid; source = inline_source m; measure; deadline_ms; kernel }

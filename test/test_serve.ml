@@ -133,11 +133,25 @@ let test_request_roundtrip () =
       Serve.Protocol.Shutdown;
     ]
   in
+  (* An inline body always decodes into a [Matrix]: an [Inline] request
+     comes back as the matrix of its triplets, and a [Matrix] as itself. *)
+  let decoded = function
+    | Serve.Protocol.Query
+        ({ source = Serve.Protocol.Inline { nrows; ncols; entries }; _ } as q) ->
+        Serve.Protocol.Query
+          {
+            q with
+            source = Serve.Protocol.Matrix (Coo.of_triplet_array ~nrows ~ncols entries);
+          }
+    | req -> req
+  in
   List.iter
     (fun req ->
       match decode_request (Serve.Protocol.request_to_frame req) with
       | Ok req' ->
-          Alcotest.(check bool) "request roundtrips" true (req = req')
+          Alcotest.(check bool) "request roundtrips" true (decoded req = req');
+          Alcotest.(check bool) "decoded request re-encodes to a fixed point" true
+            (decode_request (Serve.Protocol.request_to_frame req') = Ok req')
       | Error e -> Alcotest.failf "roundtrip failed: %s" e)
     reqs
 
@@ -150,7 +164,7 @@ let test_response_roundtrip () =
       cache_hit = true;
       degraded = true;
       degraded_reason = Some "index was empty";
-      spans = [ ("parse", 0.25); ("extract", 0.5) ];
+      spans = { parse_s = 0.25; extract_s = 0.5; traverse_s = 0.0; measure_s = 1e-7 };
     }
   in
   (match
@@ -161,6 +175,27 @@ let test_response_roundtrip () =
       match Serve.Protocol.response_of_frame ~msg body with
       | Ok (Serve.Protocol.Answer a') ->
           Alcotest.(check bool) "answer roundtrips" true (a = a')
+      | _ -> Alcotest.fail "answer did not decode")
+  | _ -> Alcotest.fail "answer frame did not decode");
+  (* A client may keep every answer it decodes: with a full schedule string
+     and no reason, a decoded answer takes at most 31 heap words, 5 of them
+     its trace (a list of named pairs made it 67). *)
+  (match
+     Serve.Protocol.decode_frame
+       (Serve.Protocol.response_to_frame
+          (Serve.Protocol.Answer
+             {
+               a with
+               schedule =
+                 "algo=SpMM;splits=1,8;order=0,2,1,3;par=0;threads=full;chunk=4;aorder=0,2,1,3;afmt=UCUU";
+               degraded_reason = None;
+             }))
+   with
+  | `Frame (msg, body, _) -> (
+      match Serve.Protocol.response_of_frame ~msg body with
+      | Ok (Serve.Protocol.Answer a') ->
+          let words = Obj.reachable_words (Obj.repr a') in
+          if words > 31 then Alcotest.failf "decoded answer takes %d heap words" words
       | _ -> Alcotest.fail "answer did not decode")
   | _ -> Alcotest.fail "answer frame did not decode");
   (* NaN measured (the predict-only path) survives the wire. *)
@@ -272,13 +307,9 @@ let qcheck_peeler_matches_decoder =
     (fun (seed, mode) ->
       let rng = Rng.create (seed + 7) in
       let inline n =
-        Serve.Protocol.Inline
-          {
-            nrows = 64;
-            ncols = 64;
-            entries =
-              Array.init n (fun i -> (i mod 64, (i * 7) mod 64, float_of_int i));
-          }
+        Serve.Protocol.Matrix
+          (Coo.of_triplet_array ~nrows:64 ~ncols:64
+             (Array.init n (fun i -> (i mod 64, (i * 7) mod 64, float_of_int i))))
       in
       let query source =
         Serve.Protocol.Query
@@ -400,9 +431,8 @@ let test_inline_validation () =
       Alcotest.(check int) "deadline parsed" 250 q.Serve.Protocol.deadline_ms
   | _ -> Alcotest.fail "valid deadline rejected");
   match decode_body "source=inline\ndims=2 2\nnnz=1\n1 1 2.5\n" with
-  | Ok (Serve.Protocol.Query { source = Serve.Protocol.Inline { entries; _ }; _ })
-    ->
-      Alcotest.(check int) "entries parsed" 1 (Array.length entries)
+  | Ok (Serve.Protocol.Query { source = Serve.Protocol.Matrix m; _ }) ->
+      Alcotest.(check int) "entries parsed" 1 (Coo.nnz m)
   | _ -> Alcotest.fail "valid inline body rejected"
 
 (* The kernel= field: parsed into the typed option, round-tripped on the
@@ -449,6 +479,268 @@ let test_kernel_field () =
   | Ok q' -> Alcotest.(check bool) "kernel roundtrips" true (q = q')
   | Error e -> Alcotest.failf "kernel roundtrip failed: %s" e
 
+(* The inline decoder's verdicts, body by body: every Ok matrix and every
+   error string as recorded when entries were counted first and parsed into
+   a triplet array.  The table covers the encoder's fast shape and each way
+   out of it (double and trailing spaces, "0x1f"/"+3"/"1_000" coordinates,
+   decimal, hex, inf and nan values, out-of-range coordinates, wrong entry
+   counts, blank lines, unsorted and duplicate entries, CR line ends). *)
+let render_coo (m : Coo.t) =
+  let b = Buffer.create 64 in
+  Printf.bprintf b "Ok %dx%d" m.Coo.nrows m.Coo.ncols;
+  Coo.iter (fun i j v -> Printf.bprintf b " %d,%d,%h" i j v) m;
+  Buffer.contents b
+
+let verdict body =
+  match Serve.Protocol.request_of_frame ~msg:Serve.Protocol.msg_query body with
+  | Error e -> "Error " ^ e
+  | Ok (Serve.Protocol.Query { source = Serve.Protocol.Matrix m; _ }) -> render_coo m
+  | Ok _ -> "Ok other"
+
+let decoder_verdicts =
+  [
+    ("source=inline\ndims=4 5\nnnz=3\n0 1 0x1.8p+0\n1 0 -0x1p-2\n3 4 0x1p+10\n",
+     "Ok 4x5 0,1,0x1.8p+0 1,0,-0x1p-2 3,4,0x1p+10");
+    ("source=inline\ndims=4 4\nnnz=1\n1  2 3\n",
+     "Error bad entry \"1  2 3\"");
+    ("source=inline\ndims=4 4\nnnz=1\n1 2 3 \n",
+     "Error bad entry \"1 2 3 \"");
+    ("source=inline\ndims=40 40\nnnz=1\n0x1f 2 1.0\n",
+     "Ok 40x40 31,2,0x1p+0");
+    ("source=inline\ndims=4 4\nnnz=1\n+3 2 1.0\n",
+     "Ok 4x4 3,2,0x1p+0");
+    ("source=inline\ndims=2000 2000\nnnz=1\n1_000 7 1.0\n",
+     "Ok 2000x2000 1000,7,0x1p+0");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 1.25e-3\n",
+     "Ok 2x2 0,0,0x1.47ae147ae147bp-10");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 -0x1.fffffffffffffp+1023\n",
+     "Ok 2x2 0,0,-0x1.fffffffffffffp+1023");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 inf\n",
+     "Error bad entry \"0 0 inf\"");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 nan\n",
+     "Error bad entry \"0 0 nan\"");
+    ("source=inline\ndims=2 2\nnnz=1\n2 0 1.0\n",
+     "Error bad entry \"2 0 1.0\"");
+    ("source=inline\ndims=2 2\nnnz=1\n0 -1 1.0\n",
+     "Error bad entry \"0 -1 1.0\"");
+    ("source=inline\ndims=2 2\nnnz=3\n0 0 1.0\n1 1 2.0\n",
+     "Error nnz=3 but 2 entry lines");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 1.0\n1 1 2.0\n",
+     "Error nnz=1 but 2 entry lines");
+    ("source=inline\ndims=2 2\nnnz=2\n\n0 0 1.0\n\n\n1 1 2.0\n\n",
+     "Ok 2x2 0,0,0x1p+0 1,1,0x1p+1");
+    ("source=inline\ndims=3 3\nnnz=3\n2 2 1.0\n0 1 2.0\n1 0 3.0\n",
+     "Ok 3x3 0,1,0x1p+1 1,0,0x1.8p+1 2,2,0x1p+0");
+    ("source=inline\ndims=3 3\nnnz=3\n1 1 0.1\n0 0 1.0\n1 1 0.2\n",
+     "Ok 3x3 0,0,0x1p+0 1,1,0x1.3333333333334p-2");
+    ("source=inline\ndims=2 2\nnnz=1_000_000\n0 0 1.0\n",
+     "Error nnz=1000000 but 1 entry lines");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0\n",
+     "Error bad entry \"0 0\"");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 1.0 2.0\n",
+     "Error bad entry \"0 0 1.0 2.0\"");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 1.0\r\n",
+     "Error bad entry \"0 0 1.0\\r\"");
+    ("source=inline\ndims=2 2\nnnz=1\n0000000000000000001 0 1.0\n",
+     "Ok 2x2 1,0,0x1p+0");
+    ("source=inline\ndims=2 2\nnnz=1\n999999999999999999999 0 1.0\n",
+     "Error bad entry \"999999999999999999999 0 1.0\"");
+    ("source=inline\ndims=2 2\nnnz=3\nx y z\n0 0 1\n",
+     "Error nnz=3 but 2 entry lines");
+    ("source=inline\ndims=2 2\nnnz=2\n0 0 1\nx y z\n",
+     "Error bad entry \"x y z\"");
+    ("source=inline\ndims=2 2\nnnz=0\n",
+     "Ok 2x2");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 1",
+     "Ok 2x2 0,0,0x1p+0");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 1_0.5\n",
+     "Ok 2x2 0,0,0x1.5p+3");
+    ("source=inline\ndims=2 2\nnnz=-1\n",
+     "Error bad nnz \"-1\"");
+    ("source=inline\ndims=2 2\nnnz=2\n0 0 1\nid=x\n",
+     "Error bad entry \"id=x\"");
+    ("source=inline\ndims=2 2\nnnz=1\n 0 0 1.0\n",
+     "Error bad entry \" 0 0 1.0\"");
+    ("source=inline\ndims=2 2\nnnz=1\n  \n",
+     "Error bad entry \"  \"");
+    ("source=inline\ndims=2 2\nnnz=2\n0 0 1\n0 1 1",
+     "Ok 2x2 0,0,0x1p+0 0,1,0x1p+0");
+    ("source=inline\ndims=2 2\nnnz=1\n0 0 \n",
+     "Error bad entry \"0 0 \"");
+    ("source=inline\ndims=0 2\nnnz=0\n",
+     "Error bad dims \"0 2\"");
+    ("source=inline\ndims=2 2\n0 0 1.0\n",
+     "Error source=inline needs dims and nnz fields");
+  ]
+
+let test_decoder_verdicts () =
+  List.iter
+    (fun (body, want) -> Alcotest.(check string) (String.escaped body) want (verdict body))
+    decoder_verdicts
+
+(* A seeded query: random dims, up to 400 entries in any order with
+   duplicates, values across normal, subnormal, huge and zero, and random
+   header fields.  [query source] wraps a source in the seed's header. *)
+let seeded_query seed =
+  let rng = Rng.create seed in
+  let nrows = 1 + Rng.int rng 300 in
+  let ncols = 1 + Rng.int rng 300 in
+  let n = Rng.int rng 400 in
+  let value () =
+    match Rng.int rng 5 with
+    | 0 -> Rng.gaussian rng
+    | 1 -> Rng.float rng *. 1e-310
+    | 2 -> -.(Rng.float rng *. 1e300)
+    | 3 -> float_of_int (Rng.int rng 100)
+    | _ -> 0.0
+  in
+  let entries =
+    Array.init n (fun _ ->
+        let r = Rng.int rng nrows in
+        let c = Rng.int rng ncols in
+        let v = value () in
+        (r, c, v))
+  in
+  let qid = Printf.sprintf "q%d" seed in
+  let measure = Rng.bool rng in
+  let deadline_ms = if Rng.bool rng then Rng.int rng 10000 else 0 in
+  let kernel =
+    match Rng.int rng 4 with
+    | 0 -> None
+    | _ -> Some (Rng.choose rng (Array.of_list Waco.Kernel.all))
+  in
+  ( nrows,
+    ncols,
+    entries,
+    fun source ->
+      Serve.Protocol.Query { qid; source; measure; deadline_ms; kernel } )
+
+let seeded_answer seed =
+  let rng = Rng.create seed in
+  let schedule =
+    Printf.sprintf "algo=SpMM;splits=%d,%d" (Rng.int rng 64) (Rng.int rng 64)
+  in
+  let predicted = Rng.gaussian rng in
+  let measured = if Rng.bool rng then Float.nan else Rng.float rng *. 1e-3 in
+  let cache_hit = Rng.bool rng in
+  let degraded = Rng.bool rng in
+  let degraded_reason = if Rng.bool rng then Some "deadline" else None in
+  let parse_s = Rng.float rng in
+  let extract_s = Rng.float rng in
+  let traverse_s = Rng.float rng in
+  let measure_s = Rng.float rng in
+  {
+    Serve.Protocol.schedule;
+    predicted;
+    measured;
+    cache_hit;
+    degraded;
+    degraded_reason;
+    spans = { parse_s; extract_s; traverse_s; measure_s };
+  }
+
+let frames_digest n frame_of =
+  let b = Buffer.create 65536 in
+  for seed = 1 to n do
+    Buffer.add_string b (frame_of seed)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The wire is unchanged: seeded request frames of [Inline] triplets (in
+   any order) and of [Matrix] sources, and seeded answer frames, hash to
+   the digests recorded when answers carried their spans as a list of
+   named pairs.  An [Inline] of a matrix's storage-order triplets and the
+   [Matrix] itself encode to the very same bytes. *)
+let test_frames_pinned () =
+  let req_frame seed source_of =
+    let nrows, ncols, entries, query = seeded_query seed in
+    Serve.Protocol.request_to_frame (query (source_of ~nrows ~ncols entries))
+  in
+  let matrix ~nrows ~ncols entries = Coo.of_triplet_array ~nrows ~ncols entries in
+  Alcotest.(check string) "Inline frames" "0bf29719b412ac9c2cd282a87d4b7655"
+    (frames_digest 40 (fun seed ->
+         req_frame seed (fun ~nrows ~ncols entries ->
+             Serve.Protocol.Inline { nrows; ncols; entries })));
+  Alcotest.(check string) "Matrix frames" "9dc6b41339b4dc068e7df4c5be7d320b"
+    (frames_digest 40 (fun seed ->
+         req_frame seed (fun ~nrows ~ncols entries ->
+             Serve.Protocol.Matrix (matrix ~nrows ~ncols entries))));
+  Alcotest.(check string) "Inline frames of a matrix's triplets"
+    "9dc6b41339b4dc068e7df4c5be7d320b"
+    (frames_digest 40 (fun seed ->
+         req_frame seed (fun ~nrows ~ncols entries ->
+             let m = matrix ~nrows ~ncols entries in
+             Serve.Protocol.Inline
+               { nrows; ncols; entries = Array.of_list (Coo.to_triplets m) })));
+  Alcotest.(check string) "answer frames" "94f9bcf3ecd6e65fbc215a366d5f6466"
+    (frames_digest 40 (fun seed ->
+         Serve.Protocol.response_to_frame (Serve.Protocol.Answer (seeded_answer seed))))
+
+(* Round trip: random triplets sent as [Inline] decode to the matrix
+   [Coo.of_triplet_array] builds from them — sorted, duplicates summed in
+   the same order — with every value equal bit for bit. *)
+let qcheck_inline_decodes_to_matrix =
+  QCheck.Test.make ~name:"Inline entries decode to their Matrix (prop)" ~count:200
+    QCheck.small_nat (fun seed ->
+      let nrows, ncols, entries, query = seeded_query (1000 + seed) in
+      let want = Coo.of_triplet_array ~nrows ~ncols entries in
+      match
+        decode_request
+          (Serve.Protocol.request_to_frame
+             (query (Serve.Protocol.Inline { nrows; ncols; entries })))
+      with
+      | Ok (Serve.Protocol.Query { source = Serve.Protocol.Matrix m; _ }) ->
+          let bits = Array.map Int64.bits_of_float in
+          m.Coo.nrows = want.Coo.nrows && m.Coo.ncols = want.Coo.ncols
+          && m.Coo.rows = want.Coo.rows && m.Coo.cols = want.Coo.cols
+          && bits m.Coo.vals = bits want.Coo.vals
+      | _ -> false)
+
+(* Decoding holds no state between calls: two domains decoding the same
+   bodies at once get the single-domain verdicts.  In a benchmark process
+   the router and its shards decode on separate domains. *)
+let test_decode_two_domains () =
+  let bodies =
+    Array.of_list
+      (List.map fst decoder_verdicts
+      @ List.init 30 (fun seed ->
+            let nrows, ncols, entries, query = seeded_query (500 + seed) in
+            match
+              Serve.Protocol.decode_frame
+                (Serve.Protocol.request_to_frame
+                   (query (Serve.Protocol.Inline { nrows; ncols; entries })))
+            with
+            | `Frame (_, body, _) -> body
+            | _ -> Alcotest.fail "seeded frame did not decode"))
+  in
+  let decode body =
+    Serve.Protocol.request_of_frame ~msg:Serve.Protocol.msg_query body
+  in
+  let want = Array.map decode bodies in
+  let run () =
+    let same = ref true in
+    for _ = 1 to 20 do
+      Array.iteri (fun i b -> if decode b <> want.(i) then same := false) bodies
+    done;
+    !same
+  in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+  Alcotest.(check bool) "domain 1 = single domain" true ok1;
+  Alcotest.(check bool) "domain 2 = single domain" true ok2
+
+(* A tiny body claiming a huge entry count is refused with the entry-count
+   error, and no column sized by the claim is allocated first. *)
+let test_decode_huge_nnz_claim () =
+  let body = "id=big\nsource=inline\ndims=2 2\nnnz=1_000_000\n0 0 1.0\n0 1 2.0\n" in
+  let before = Gc.allocated_bytes () in
+  let got = verdict body in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check string) "entry-count error" "Error nnz=1000000 but 2 entry lines" got;
+  if allocated >= 65536.0 then
+    Alcotest.failf "decoding a %d-byte body allocated %.0f bytes" (String.length body)
+      allocated
+
 (* The decoder and body parsers must be total: random bytes can produce any
    verdict but never an exception. *)
 let test_fuzz_total () =
@@ -468,8 +760,8 @@ let test_fuzz_total () =
          {
            qid = "fuzz";
            source =
-             Serve.Protocol.Inline
-               { nrows = 4; ncols = 4; entries = [| (1, 2, 0.5) |] };
+             Serve.Protocol.Matrix
+               (Coo.of_triplet_array ~nrows:4 ~ncols:4 [| (1, 2, 0.5) |]);
            measure = true;
            deadline_ms = 0;
            kernel = None;
@@ -482,11 +774,104 @@ let test_fuzz_total () =
     match Serve.Protocol.decode_frame (Bytes.to_string b) with
     | `Frame (msg, body, _) -> ignore (Serve.Protocol.request_of_frame ~msg body)
     | `Need _ | `Bad _ -> ()
+  done;
+  (* Mutated entry blocks: bytes replaced, inserted or deleted, drawn from
+     the characters the entry grammar turns on, under a declared count that
+     is right, one off, or far too large.  The decoder must give exactly
+     the verdict of a line-list reference: count the non-empty lines, then
+     split each on ' ' into an in-range int, int and finite float. *)
+  let reference ~nrows ~ncols ~nnz block =
+    let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' block) in
+    let have = List.length lines in
+    if have <> nnz then Printf.sprintf "Error nnz=%d but %d entry lines" nnz have
+    else
+      let entry line =
+        match String.split_on_char ' ' line with
+        | [ r; c; v ] -> (
+            match (int_of_string_opt r, int_of_string_opt c, float_of_string_opt v) with
+            | Some r, Some c, Some v
+              when r >= 0 && r < nrows && c >= 0 && c < ncols && Float.is_finite v ->
+                Ok (r, c, v)
+            | _ -> Error line)
+        | _ -> Error line
+      in
+      let rec go acc = function
+        | [] -> render_coo (Coo.of_triplet_array ~nrows ~ncols (Array.of_list (List.rev acc)))
+        | l :: rest -> (
+            match entry l with
+            | Ok e -> go (e :: acc) rest
+            | Error l -> Printf.sprintf "Error bad entry %S" l)
+      in
+      go [] lines
+  in
+  let alphabet = "0123456789  \n\n-+_xXp.eE\r\tinfa" in
+  for _ = 1 to 3000 do
+    let nrows = 1 + Rng.int rng 40 and ncols = 1 + Rng.int rng 40 in
+    let n = Rng.int rng 6 in
+    let block =
+      Bytes.of_string
+        (String.concat ""
+           (List.init n (fun _ ->
+                Printf.sprintf "%d %d %h\n" (Rng.int rng nrows) (Rng.int rng ncols)
+                  (Rng.gaussian rng))))
+    in
+    let block = ref (Bytes.to_string block) in
+    for _ = 0 to Rng.int rng 3 do
+      let len = String.length !block in
+      let at = Rng.int rng (len + 1) in
+      let ch = String.make 1 alphabet.[Rng.int rng (String.length alphabet)] in
+      block :=
+        match Rng.int rng 3 with
+        | 0 when at < len -> String.sub !block 0 at ^ ch ^ String.sub !block (at + 1) (len - at - 1)
+        | 1 when at < len -> String.sub !block 0 at ^ String.sub !block (at + 1) (len - at - 1)
+        | _ -> String.sub !block 0 at ^ ch ^ String.sub !block at (len - at)
+    done;
+    let nnz =
+      match Rng.int rng 4 with
+      | 0 -> n - 1
+      | 1 -> n + 1
+      | 2 -> 1 + Rng.int rng Serve.Protocol.max_inline_nnz
+      | _ -> n
+    in
+    if nnz >= 0 then begin
+      let body =
+        Printf.sprintf "id=m\nsource=inline\ndims=%d %d\nnnz=%d\n%s" nrows ncols nnz !block
+      in
+      Alcotest.(check string) (String.escaped body)
+        (reference ~nrows ~ncols ~nnz !block)
+        (verdict body)
+    end
   done
 
 (* ====================================================================== *)
 (* Fingerprint                                                            *)
 (* ====================================================================== *)
+
+(* Cache files and the router ring are keyed by these strings: fixed
+   fingerprints keep the keys recorded when every sketch byte went through
+   "%02x". *)
+let test_fingerprint_keys_pinned () =
+  let fp nrows ncols nnz sketch = { Serve.Fingerprint.nrows; ncols; nnz; sketch } in
+  List.iter
+    (fun (fp, want) ->
+      Alcotest.(check string) "pinned key" want (Serve.Fingerprint.key fp);
+      Alcotest.(check bool) "of_key inverts" true
+        (Option.equal Serve.Fingerprint.equal (Some fp)
+           (Serve.Fingerprint.of_key want)))
+    [
+      ( fp 1 1 0 (Array.make 64 0),
+        "fp1:1x1:0:00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
+      );
+      ( fp 128 96 1000 (Array.init 64 (fun i -> ((i * 37) + 11) mod 256)),
+        "fp1:128x96:1000:0b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e83a8cdf2173c6186abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe23486d92b7dc0126"
+      );
+      ( fp 70000 3 123456 (Array.init 64 (fun i -> if i mod 3 = 0 then 255 else i)),
+        "fp1:70000x3:123456:ff0102ff0405ff0708ff0a0bff0d0eff1011ff1314ff1617ff191aff1c1dff1f20ff2223ff2526ff2829ff2b2cff2e2fff3132ff3435ff3738ff3a3bff3d3eff"
+      );
+      ( Serve.Fingerprint.of_coo (small_matrix 1),
+        "fp1:48x48:220:07020200070509030506010707030302060302020100030502030203060105030602070908030202020502070503030601050202070105030202060506060205"
+      );
+    ]
 
 let test_fingerprint () =
   let m = small_matrix 1 in
@@ -940,12 +1325,7 @@ let test_cache_namespaces () =
 (* Request scheduler (batch level, no socket)                             *)
 (* ====================================================================== *)
 
-let inline_source m =
-  let entries =
-    Array.init (Coo.nnz m) (fun k ->
-        (m.Coo.rows.(k), m.Coo.cols.(k), m.Coo.vals.(k)))
-  in
-  Serve.Protocol.Inline { nrows = m.Coo.nrows; ncols = m.Coo.ncols; entries }
+let inline_source m = Serve.Protocol.Matrix m
 
 let query_of ?(measure = true) ?(qid = "q") ?(deadline_ms = 0) ?kernel m =
   { Serve.Protocol.qid; source = inline_source m; measure; deadline_ms; kernel }
@@ -1047,7 +1427,7 @@ let test_feature_per_pattern () =
   let m = Gen.uniform (Rng.create 4711) ~nrows:40 ~ncols:40 ~nnz:150 in
   let extract_s resp =
     match resp with
-    | [ Serve.Protocol.Answer a ] -> List.assoc "extract" a.Serve.Protocol.spans
+    | [ Serve.Protocol.Answer a ] -> a.Serve.Protocol.spans.Serve.Protocol.extract_s
     | _ -> Alcotest.fail "query failed"
   in
   let first = Serve.Server.process_batch server [ query_of ~measure:false m ] in
@@ -1809,9 +2189,17 @@ let () =
           Alcotest.test_case "inline validation" `Quick test_inline_validation;
           Alcotest.test_case "kernel field" `Quick test_kernel_field;
           Alcotest.test_case "fuzz: decoder is total" `Quick test_fuzz_total;
+          Alcotest.test_case "decoder verdicts pinned" `Quick test_decoder_verdicts;
+          Alcotest.test_case "frames pinned" `Quick test_frames_pinned;
+          QCheck_alcotest.to_alcotest qcheck_inline_decodes_to_matrix;
+          Alcotest.test_case "decoding on two domains" `Quick test_decode_two_domains;
+          Alcotest.test_case "huge nnz claim" `Quick test_decode_huge_nnz_claim;
         ] );
       ( "fingerprint",
-        [ Alcotest.test_case "sketch + key" `Quick test_fingerprint ] );
+        [
+          Alcotest.test_case "sketch + key" `Quick test_fingerprint;
+          Alcotest.test_case "keys pinned" `Quick test_fingerprint_keys_pinned;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru;

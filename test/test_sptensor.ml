@@ -45,6 +45,43 @@ let test_rng_categorical () =
       (Rng.categorical r [| 0.0; 0.0; 5.0; 0.0 |])
   done
 
+(* The Zipf sampler draws what [categorical] draws over the same weights,
+   and seeded power-law matrices and skewed 3-D tensors — the inputs of the
+   test corpora and of perfbench — stay the draws recorded when every draw
+   scanned its own weight array.  The digest covers every coordinate, every
+   value's bits and the generator's next raw draw (how much of the stream
+   each generator consumed). *)
+let test_rng_zipf () =
+  List.iter
+    (fun (alpha, n) ->
+      let w = Array.init n (fun k -> Float.pow (float_of_int (k + 1)) (-.alpha)) in
+      let draw = Rng.zipf_sampler ~alpha n in
+      let a = Rng.create 99 and b = Rng.create 99 in
+      for _ = 1 to 2000 do
+        Alcotest.(check int) "sampler = categorical" (Rng.categorical a w) (draw b)
+      done)
+    [ (1.5, 1); (1.5, 7); (0.8, 4096); (2.5, 300); (0.0, 64) ];
+  let buf = Buffer.create 65536 in
+  let coo seed ~alpha ~nrows ~ncols ~nnz =
+    let rng = Rng.create seed in
+    let m = Gen.power_law rng ~alpha ~nrows ~ncols ~nnz in
+    Printf.bprintf buf "m %dx%d %d\n" m.Coo.nrows m.Coo.ncols (Rng.bits rng);
+    Coo.iter (fun i j v -> Printf.bprintf buf "%d %d %h\n" i j v) m
+  in
+  let t3 seed ~alpha ~dim_i ~dim_k ~dim_l ~nnz =
+    let rng = Rng.create seed in
+    let t = Gen.tensor3_skewed rng ~alpha ~dim_i ~dim_k ~dim_l ~nnz in
+    Printf.bprintf buf "t %d\n" (Rng.bits rng);
+    Tensor3.iter (fun i k l v -> Printf.bprintf buf "%d %d %d %h\n" i k l v) t
+  in
+  coo 17 ~alpha:1.5 ~nrows:600 ~ncols:500 ~nnz:3000;
+  coo 18 ~alpha:0.8 ~nrows:5000 ~ncols:64 ~nnz:2000;
+  coo 19 ~alpha:2.5 ~nrows:7 ~ncols:9 ~nnz:40;
+  t3 20 ~alpha:1.3 ~dim_i:3000 ~dim_k:40 ~dim_l:40 ~nnz:2000;
+  t3 21 ~alpha:0.5 ~dim_i:50 ~dim_k:30 ~dim_l:20 ~nnz:900;
+  Alcotest.(check string) "seeded draws digest" "65d524dc4f2040b977d64beef00d7331"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Coo --- *)
 
 let triple_t = Alcotest.(triple int int (float 1e-9))
@@ -61,6 +98,35 @@ let test_coo_out_of_bounds () =
   Alcotest.check_raises "oob raises"
     (Invalid_argument "Coo.of_triplets: (3,0) out of 3x3") (fun () ->
       ignore (Coo.of_triplets ~nrows:3 ~ncols:3 [ (3, 0, 1.0) ]))
+
+(* [of_columns] adopts sorted, duplicate-free columns as they are, and
+   builds anything else exactly as [of_triplet_array] does from the same
+   triplets: same order, duplicates summed to the same bits. *)
+let test_coo_of_columns () =
+  let rows = [| 0; 0; 2 |] and cols = [| 1; 3; 0 |] and vals = [| 1.5; -2.0; 0.25 |] in
+  let m = Coo.of_columns ~nrows:3 ~ncols:4 rows cols vals in
+  Alcotest.(check bool) "sorted columns adopted" true
+    (m.Coo.rows == rows && m.Coo.cols == cols && m.Coo.vals == vals);
+  let r = rng () in
+  for _ = 1 to 50 do
+    let n = Rng.int r 40 in
+    let t = Array.init n (fun _ -> (Rng.int r 5, Rng.int r 5, Rng.gaussian r)) in
+    let a = Coo.of_triplet_array ~nrows:5 ~ncols:5 t in
+    let b =
+      Coo.of_columns ~nrows:5 ~ncols:5
+        (Array.map (fun (i, _, _) -> i) t)
+        (Array.map (fun (_, j, _) -> j) t)
+        (Array.map (fun (_, _, v) -> v) t)
+    in
+    Alcotest.(check bool) "= of_triplet_array, bit for bit" true
+      (a.Coo.rows = b.Coo.rows && a.Coo.cols = b.Coo.cols
+      && Array.map Int64.bits_of_float a.Coo.vals = Array.map Int64.bits_of_float b.Coo.vals)
+  done;
+  Alcotest.check_raises "oob raises" (Invalid_argument "Coo.of_triplets: (0,4) out of 3x4")
+    (fun () -> ignore (Coo.of_columns ~nrows:3 ~ncols:4 [| 0 |] [| 4 |] [| 1.0 |]));
+  Alcotest.check_raises "length mismatch raises"
+    (Invalid_argument "Coo.of_columns: columns of different lengths") (fun () ->
+      ignore (Coo.of_columns ~nrows:3 ~ncols:4 [| 0 |] [||] [| 1.0 |]))
 
 let test_coo_transpose_involution () =
   let r = rng () in
@@ -245,12 +311,14 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "permutation" `Quick test_rng_permutation;
           Alcotest.test_case "categorical" `Quick test_rng_categorical;
+          Alcotest.test_case "zipf sampler pinned" `Quick test_rng_zipf;
         ] );
       ( "coo",
         [
           Alcotest.test_case "of_triplets sorts+sums" `Quick
             test_coo_of_triplets_sorts_and_sums;
           Alcotest.test_case "out of bounds" `Quick test_coo_out_of_bounds;
+          Alcotest.test_case "of_columns" `Quick test_coo_of_columns;
           Alcotest.test_case "transpose involution" `Quick test_coo_transpose_involution;
           Alcotest.test_case "dense roundtrip" `Quick test_coo_dense_roundtrip;
           Alcotest.test_case "row_ptr" `Quick test_coo_row_ptr;
