@@ -547,8 +547,9 @@ let kernels ~force () =
   (* -- warm extractor batch: the feature path of serve phase B --
 
      One [Waco.Extractor.forward] per input over 32 warm inputs (pyramids
-     memoized on the inputs — the extractor-warm shape), as
-     [Costmodel.feature_batch] runs them.  Its bytes are gated: a warm
+     memoized on the inputs — the extractor-warm shape), as a batch of 32
+     distinct misses runs them through [Costmodel.feature], one miss at a
+     time.  Its bytes are gated: a warm
      forward may pay small per-input costs, nothing proportional to sites
      or pairs. *)
   let batch_rng = Rng.create 424242 in

@@ -121,29 +121,17 @@ let tail_width = row_dim - Config.feature_dim
    costs recomputation. *)
 let feature_capacity = 4096
 
-(* Memoize the features of a whole group of patterns — serve phase B's
-   per-kernel-slot batch — one [Extractor.forward] (a fresh array, safe to
-   retain) per id not yet memoized; a repeated id finds its first
-   occurrence's feature.  Returns which members this call computed.  A
-   memo the batch could overflow is reset first, so the batch's features
-   survive until its searches read them. *)
-let feature_batch t (inputs : Extractor.input array) =
-  if Hashtbl.length t.feature_cache + Array.length inputs > feature_capacity then
-    Hashtbl.reset t.feature_cache;
-  Array.map
-    (fun (i : Extractor.input) ->
-      let fresh = not (Hashtbl.mem t.feature_cache i.Extractor.id) in
-      if fresh then
-        Hashtbl.add t.feature_cache i.Extractor.id (Extractor.forward t.extractor i);
-      fresh)
-    inputs
-
+(* Memoized per id: one [Extractor.forward] (a fresh array, safe to retain)
+   per id not yet memoized.  A full memo is reset before the add. *)
 let feature t (input : Extractor.input) =
   match Hashtbl.find_opt t.feature_cache input.Extractor.id with
   | Some f -> f
   | None ->
-      ignore (feature_batch t [| input |] : bool array);
-      Hashtbl.find t.feature_cache input.Extractor.id
+      if Hashtbl.length t.feature_cache >= feature_capacity then
+        Hashtbl.reset t.feature_cache;
+      let f = Extractor.forward t.extractor input in
+      Hashtbl.add t.feature_cache input.Extractor.id f;
+      f
 
 let clear_feature_cache t = Hashtbl.reset t.feature_cache
 

@@ -49,8 +49,8 @@ val forward_train :
     is an input indicator, never a parameter — it takes no gradient.
     [kernel] defaults to {!kernel_of}.
 
-    The inference entry points below ({!feature}, {!feature_batch},
-    {!embed}, {!tail_scorer}, {!predict}) run the same eager layer forwards
+    The inference entry points below ({!feature}, {!embed},
+    {!tail_scorer}, {!predict}) run the same eager layer forwards
     and overwrite the layer caches the backward closure reads: none of them
     may run on this instance between [forward_train] and its backward.  A
     {!replicate} has caches of its own and is exempt. *)
@@ -59,13 +59,8 @@ val feature_capacity : int
 (** The feature memo's bound: a memo that would pass it is reset first. *)
 
 val feature : t -> Extractor.input -> float array
-(** Memoized per [input.id]; see {!clear_feature_cache}. *)
-
-val feature_batch : t -> Extractor.input array -> bool array
-(** Memoize the features of a whole group of patterns, one
-    {!Extractor.forward} per fresh member (serve phase B's per-kernel-slot
-    batch).  Memoized or repeated ids are skipped; element [i] of the result
-    tells whether this call computed member [i]'s feature. *)
+(** Memoized per [input.id]: one {!Extractor.forward} per id not yet
+    memoized; see {!clear_feature_cache}. *)
 
 val clear_feature_cache : t -> unit
 (** Empties the feature memo.  Required whenever extractor weights change

@@ -93,6 +93,7 @@ type result = {
   feature_seconds : float;
   search_seconds : float;
   measure_seconds : float;
+  extractor_forwards : int; (* 1 when phase 1 ran a forward, 0 on a memo hit *)
   cost_evals : int; (* predictor evaluations during graph traversal *)
   measured_runs : int;
   measure_failures : int; (* candidates dropped after exhausting retries *)
@@ -123,6 +124,7 @@ let degraded ?(measure = true) machine (wl : Workload.t) algo ~reason =
     feature_seconds = 0.0;
     search_seconds = 0.0;
     measure_seconds = 0.0;
+    extractor_forwards = 0;
     cost_evals = 0;
     measured_runs = (if measure then 1 else 0);
     measure_failures = 0;
@@ -158,10 +160,15 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
     degraded ~measure:false machine wl model.Costmodel.algo
       ~reason:deadline_reason
   else begin
-    (* Phase 1: extract the sparsity-pattern feature once. *)
+    (* Phase 1: extract the sparsity-pattern feature once.  A memo hit runs
+       no forward and is charged nothing. *)
     let t0 = Robust.mono_now () in
+    let hit = Hashtbl.mem model.Costmodel.feature_cache input.Extractor.id in
     let feature = Costmodel.feature model input in
     let t1 = Robust.mono_now () in
+    let extractor_forwards, feature_seconds =
+      if hit then (0, 0.0) else (1, t1 -. t0)
+    in
     (* Phase 2: ANNS over the KNN graph.  The score runs only the
        predictor against stored embeddings: its first layer's feature
        columns are computed once here, for the whole query (DESIGN.md
@@ -223,6 +230,8 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
                  (if mark_deadline then deadline_reason
                   else "traversal returned no candidates"))
             with
+            feature_seconds;
+            extractor_forwards;
             cost_evals = evals;
             asym_pruned = !pruned_count;
           }
@@ -232,9 +241,10 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
             best_measured = Float.nan;
             best_predicted = pred_cost;
             topk = [];
-            feature_seconds = t1 -. t0;
+            feature_seconds;
             search_seconds = t2 -. t1;
             measure_seconds = 0.0;
+            extractor_forwards;
             cost_evals = evals;
             measured_runs = 0;
             measure_failures = 0;
@@ -316,6 +326,8 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
                (Printf.sprintf "all %d measurement runs failed"
                   (List.length found)))
           with
+          feature_seconds;
+          extractor_forwards;
           measure_failures = !failures;
           measure_retries = retries;
           cost_evals = evals;
@@ -332,9 +344,10 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
           best_measured = best_m;
           best_predicted = best_p;
           topk = List.map (fun (s, m, _) -> (s, m)) measured;
-          feature_seconds = t1 -. t0;
+          feature_seconds;
           search_seconds = t2 -. t1;
           measure_seconds = t3 -. t2;
+          extractor_forwards;
           cost_evals = evals;
           measured_runs = List.length measured;
           measure_failures = !failures;
@@ -353,45 +366,11 @@ let tune ?pool ?(k = 10) ?(ef = 40) ?(measure = true) ?(asym = true)
    input from a raw COO and runs the three-phase search.  [id] keys the
    model's feature memo, so callers that identify matrices by content
    fingerprint get cross-request feature reuse for free. *)
-let query ?k ?ef ?measure ?deadline_at model machine ~id (m : Sptensor.Coo.t)
-    (index : index) =
+let query ?pool ?k ?ef ?measure ?deadline_at model machine ~id
+    (m : Sptensor.Coo.t) (index : index) =
   let wl = Workload.of_coo ~id m in
   let input = Extractor.input_of_coo ~id m in
-  tune ?k ?ef ?measure ?deadline_at model machine wl input index
-
-type batch_query = {
-  bq_id : string;
-  bq_coo : Sptensor.Coo.t;
-  bq_measure : bool;
-  bq_deadline_at : float option;
-}
-
-(* Answer a group of distinct matrices against one model: every unmemoized
-   pattern's feature comes from one [Costmodel.feature_batch] call, which
-   dedupes repeated patterns and fills the feature memo, before the
-   per-matrix searches run — serve phase B's one feature pass per kernel
-   slot — whose time is split evenly over the members it computed a
-   feature for.  Per-query deadlines are re-checked
-   by [tune]; an expired query merely wastes its share of that work. *)
-let query_batch ?pool ?k ?ef model machine (queries : batch_query array)
-    (index : index) =
-  let inputs =
-    Array.map (fun q -> Extractor.input_of_coo ~id:q.bq_id q.bq_coo) queries
-  in
-  let t0 = Robust.mono_now () in
-  let computed = Costmodel.feature_batch model inputs in
-  let forwards = Array.fold_left (fun n c -> if c then n + 1 else n) 0 computed in
-  let share = (Robust.mono_now () -. t0) /. float_of_int (max 1 forwards) in
-  ( Array.mapi
-      (fun i q ->
-        let wl = Workload.of_coo ~id:q.bq_id q.bq_coo in
-        let r =
-          tune ?pool ?k ?ef ~measure:q.bq_measure ?deadline_at:q.bq_deadline_at
-            model machine wl inputs.(i) index
-        in
-        { r with feature_seconds = (if computed.(i) then share else 0.0) })
-      queries,
-    forwards )
+  tune ?pool ?k ?ef ?measure ?deadline_at model machine wl input index
 
 (* A model whose embedding width differs from the index's vector dimension
    would fail deep inside the first traversal (predictor input-row mismatch)

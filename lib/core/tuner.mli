@@ -35,11 +35,15 @@ type result = {
   best_measured : float;  (** simulator seconds of the chosen schedule *)
   best_predicted : float;
   topk : (Superschedule.t * float) list;  (** (schedule, measured) *)
-  feature_seconds : float;  (** phase 1: one WACONet forward *)
+  feature_seconds : float;
+      (** phase 1: one WACONet forward; 0 on a feature-memo hit *)
   search_seconds : float;
       (** phase 2: the graph walk scored by the predictor tail, plus the
           asym pre-filter *)
   measure_seconds : float;
+  extractor_forwards : int;
+      (** 1 when phase 1 ran a forward; 0 on a feature-memo hit or a
+          deadline that expired before phase 1 *)
   cost_evals : int;  (** predictor evaluations during traversal *)
   measured_runs : int;
   measure_failures : int;  (** candidates dropped after exhausting retries *)
@@ -69,9 +73,11 @@ val tune :
   Costmodel.t -> Machine.t -> Workload.t -> Extractor.input -> index -> result
 (** [k] defaults to the paper's 10 measured candidates.
 
-    Phase 1 computes the matrix's feature once.  Phase 2 walks the index
-    graph with the predicted runtime as the metric: the predictor's first
-    layer over the feature columns runs once per query
+    Phase 1 computes the matrix's feature once, through the model's
+    feature memo: a memo hit runs no forward and reports
+    [extractor_forwards = 0] and [feature_seconds = 0].  Phase 2 walks the
+    index graph with the predicted runtime as the metric: the predictor's
+    first layer over the feature columns runs once per query
     ({!Costmodel.tail_scorer}), and each expanded node's unscored
     neighbours are scored as one batch from their stored embeddings.
     [cost_evals] counts the nodes scored.  Phase 3 measures the ranked
@@ -113,32 +119,15 @@ val tune :
     expiry can overshoot by at most one run. *)
 
 val query :
-  ?k:int -> ?ef:int -> ?measure:bool -> ?deadline_at:float ->
+  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int -> ?measure:bool ->
+  ?deadline_at:float ->
   Costmodel.t -> Machine.t -> id:string -> Sptensor.Coo.t -> index -> result
 (** The reusable "answer one matrix" entry point ({!tune} over a raw COO):
     builds the workload and extractor input, then runs the three-phase
     search.  [id] keys the model's feature memo — callers identifying
-    matrices by content fingerprint get cross-request feature reuse. *)
-
-type batch_query = {
-  bq_id : string;
-  bq_coo : Sptensor.Coo.t;
-  bq_measure : bool;
-  bq_deadline_at : float option;
-}
-(** One member of a {!query_batch} group: per-query measure flag and
-    deadline, shared model/machine/index. *)
-
-val query_batch :
-  ?pool:Parallel.Pool.t -> ?k:int -> ?ef:int ->
-  Costmodel.t -> Machine.t -> batch_query array -> index -> result array * int
-(** {!query} over a group of distinct matrices: all unmemoized features come
-    from one {!Costmodel.feature_batch} call (memo and dedupe) before the
-    per-matrix searches run — serve phase B's one feature pass per kernel
-    slot.  Results align with the input order; the int is how many features
-    that call computed.  Queries sharing a [bq_id] share one feature.  Each
-    member that computed a feature gets an equal share of the call's time
-    as [feature_seconds]; memo hits report 0. *)
+    matrices by content fingerprint get cross-request feature reuse, and
+    repeated ids cost one forward.  [pool] is {!tune}'s measurement
+    fan-out. *)
 
 val validate_compat : Costmodel.t -> index_file:string -> index -> unit
 (** Raises [Robust.Load_error (Malformed _)] (citing [index_file] and both

@@ -107,7 +107,7 @@ let trained ?(kind = Waco.Extractor.Waconet) machine (algo : Algorithm.t) =
   | Some t -> t
   | None ->
       let rng = rng_for key in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Robust.mono_now () in
       say "training %s ..." key;
       let data = dataset_for rng machine algo in
       let model = Waco.Costmodel.create rng ~kind algo in
@@ -118,7 +118,7 @@ let trained ?(kind = Waco.Extractor.Waconet) machine (algo : Algorithm.t) =
       let index = Waco.Tuner.build_index rng model (Waco.Dataset.all_schedules data) in
       let t = {
         model; data; index; curve;
-        train_seconds = Unix.gettimeofday () -. t0;
+        train_seconds = Robust.mono_now () -. t0;
       } in
       say "trained %s in %.1fs (val_acc %.3f, corpus %d)" key t.train_seconds
         curve.Waco.Trainer.valid_acc.(Array.length curve.Waco.Trainer.valid_acc - 1)

@@ -36,9 +36,9 @@ let run_a () =
       Blackbox.Strategies.bandit rng algo ~dims ~eval ~budget;
     ]
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Robust.mono_now () in
   let waco = Waco.Tuner.tune ~ef:64 model machine wl input index in
-  let waco_wall = Unix.gettimeofday () -. t0 in
+  let waco_wall = Robust.mono_now () -. t0 in
   Printf.printf "%-15s %8s %12s %10s %10s %12s\n" "strategy" "trials" "best(pred)"
     "wall(s)" "eval(s)" "eval-frac";
   List.iter

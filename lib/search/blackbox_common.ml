@@ -46,9 +46,9 @@ let run_eval be s =
     match Hashtbl.find_opt be.cache key with
     | Some c -> c
     | None ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Robust.mono_now () in
         let c = be.eval s in
-        be.eval_time <- be.eval_time +. (Unix.gettimeofday () -. t0);
+        be.eval_time <- be.eval_time +. (Robust.mono_now () -. t0);
         be.eval_count <- be.eval_count + 1;
         Hashtbl.add be.cache key c;
         c
@@ -56,7 +56,7 @@ let run_eval be s =
 (* Drive a strategy: [propose] yields the next schedule given the observation
    history; the driver owns timing, best tracking and the history curve. *)
 let drive ~name ~budget be ~propose =
-  let t_start = Unix.gettimeofday () in
+  let t_start = Robust.mono_now () in
   let observations = ref [] in
   let best = ref None in
   let history = ref [] in
@@ -77,7 +77,7 @@ let drive ~name ~budget be ~propose =
     best_cost = best_c;
     trials = budget;
     eval_seconds = be.eval_time;
-    total_seconds = Unix.gettimeofday () -. t_start;
+    total_seconds = Robust.mono_now () -. t_start;
     history = Array.of_list (List.rev !history);
     rejected = be.rejected;
     rejected_lint = be.counts.Asym.Prefilter.lint;

@@ -41,9 +41,6 @@ type t = {
   mutable phase_b_misses : int;  (* distinct misses those dispatches carried *)
   mutable phase_b_max : int;  (* largest distinct-miss group so far *)
   phase_b_hist : int array;  (* miss-count histogram: 1 / 2-3 / 4-7 / 8-15 / 16+ *)
-  (* One per kernel slot's Tuner.query_batch call; the stats key keeps its
-     old name because stats consumers read the schema. *)
-  mutable vm_batched_runs : int;
   mutable cache_persist_failures : int;
   mutable shed : int;  (* queries answered [Busy] past the high-water mark *)
   mutable deadline_misses : int;  (* answers marked degraded_reason=deadline *)
@@ -81,7 +78,6 @@ let create () =
     phase_b_misses = 0;
     phase_b_max = 0;
     phase_b_hist = Array.make 5 0;
-    vm_batched_runs = 0;
     cache_persist_failures = 0;
     shed = 0;
     deadline_misses = 0;
@@ -168,7 +164,6 @@ let counters t =
         ("phase_b_hist_4_7", t.phase_b_hist.(2));
         ("phase_b_hist_8_15", t.phase_b_hist.(3));
         ("phase_b_hist_16_plus", t.phase_b_hist.(4));
-        ("vm_batched_runs", t.vm_batched_runs);
         ("cache_persist_failures", t.cache_persist_failures);
         ("shed", t.shed);
         ("deadline_misses", t.deadline_misses);

@@ -40,10 +40,6 @@ type t = {
   mutable phase_b_max : int;  (** largest distinct-miss group so far *)
   phase_b_hist : int array;
       (** distinct-miss-count histogram, buckets 1 / 2-3 / 4-7 / 8-15 / 16+ *)
-  mutable vm_batched_runs : int;
-      (** one per {!Waco.Tuner.query_batch} call, i.e. per kernel slot of a
-          phase-B batch; the name predates the eager forwards and is kept
-          because stats consumers read it *)
   mutable cache_persist_failures : int;
   mutable shed : int;  (** queries answered [Busy] past the high-water mark *)
   mutable deadline_misses : int;

@@ -10,16 +10,17 @@
    - queries are parsed and fingerprinted, then deduplicated per batch —
      N clients asking about the same pattern cost one computation;
    - cache hits are answered immediately;
-   - the distinct misses of each kernel slot run through one
-     [Tuner.query_batch]: one feature pass over their fresh patterns,
-     then each miss's top-k measurements spread over the worker pool;
+   - each distinct miss runs through [Tuner.query] on its kernel slot's
+     model, in first-appearance order: the model's feature memo computes
+     a pattern's feature once for both answer modes, and each miss's
+     top-k measurements spread over the worker pool;
    - fresh non-degraded answers enter the LRU cache, which is persisted
      write-through — one fsynced journal append per batch, beside a
      [Robust]-enveloped snapshot — so a restarted daemon is warm.
 
    Degradation over failure, everywhere: a damaged request body answers
    [Error_msg] on its own connection; a failing measurement degrades to the
-   fixed-CSR fallback inside [Tuner.tune]; a failing cache persist bumps a
+   fixed-CSR fallback inside [Tuner.query]; a failing cache persist bumps a
    counter and keeps serving.
 
    Overload and hostile clients degrade the same way.  Each query's
@@ -265,59 +266,32 @@ let note_result t (r : Waco.Tuner.result) =
       m.measured_runs <- m.measured_runs + r.Waco.Tuner.measured_runs;
       m.measure_failures <- m.measure_failures + r.Waco.Tuner.measure_failures;
       m.retries_absorbed <- m.retries_absorbed + r.Waco.Tuner.measure_retries;
-      m.asym_pruned <- m.asym_pruned + r.Waco.Tuner.asym_pruned);
+      m.asym_pruned <- m.asym_pruned + r.Waco.Tuner.asym_pruned;
+      m.extractor_forwards <-
+        m.extractor_forwards + r.Waco.Tuner.extractor_forwards;
+      m.traversals <- m.traversals + 1);
   if r.Waco.Tuner.degraded then
     Metrics.bump t.metrics (fun m -> m.degraded <- m.degraded + 1)
 
-(* Phase B: group the distinct misses by kernel slot (in first-appearance
-   order, so the cache-insertion order of phase C is unchanged) and run each
-   group through [Tuner.query_batch] — all of a group's uncached features
-   come from one [Costmodel.feature_batch] call, and each miss's top-k
-   measurements spread over the pool.  Returns key -> result. *)
+(* Phase B: answer each distinct miss with [Tuner.query] on its slot, in
+   first-appearance order, so the cache-insertion order of phase C is
+   unchanged.  The feature memo dedupes a pattern across answer modes and
+   batches; [tune] re-checks the miss's deadline before its forward, so a
+   miss that expires behind a slow earlier one extracts nothing; and each
+   miss's top-k measurements spread over the pool.  Returns key -> result. *)
 let compute t miss_keys misses =
   let computed = Hashtbl.create 8 in
-  let group_order = ref [] in
-  let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
-  Array.iteri
-    (fun i key ->
-      let si, _, _, _, _ = Hashtbl.find misses key in
-      match Hashtbl.find_opt groups si with
-      | Some members -> members := i :: !members
-      | None ->
-          Hashtbl.add groups si (ref [ i ]);
-          group_order := si :: !group_order)
-    miss_keys;
-  List.iter
-    (fun si ->
-      let idxs = Array.of_list (List.rev !(Hashtbl.find groups si)) in
+  Array.iter
+    (fun key ->
+      let si, pkey, m, measure, deadline_at = Hashtbl.find misses key in
       let slot = t.slots.(si) in
-      let queries =
-        Array.map
-          (fun i ->
-            let key = miss_keys.(i) in
-            let _, pkey, m, measure, deadline_at = Hashtbl.find misses key in
-            {
-              Waco.Tuner.bq_id = pkey;
-              bq_coo = m;
-              bq_measure = measure;
-              bq_deadline_at = deadline_at;
-            })
-          idxs
+      let r =
+        Waco.Tuner.query ?pool:t.pool ~k:t.k ~ef:t.ef ~measure ?deadline_at
+          slot.model t.machine ~id:pkey m slot.index
       in
-      let results, forwards =
-        Waco.Tuner.query_batch ?pool:t.pool slot.model t.machine ~k:t.k
-          ~ef:t.ef queries slot.index
-      in
-      Metrics.bump t.metrics (fun m ->
-          m.extractor_forwards <- m.extractor_forwards + forwards;
-          m.traversals <- m.traversals + Array.length idxs;
-          m.vm_batched_runs <- m.vm_batched_runs + 1);
-      Array.iteri
-        (fun j i ->
-          note_result t results.(j);
-          Hashtbl.replace computed miss_keys.(i) results.(j))
-        idxs)
-    (List.rev !group_order);
+      note_result t r;
+      Hashtbl.replace computed key r)
+    miss_keys;
   computed
 
 (* The expired-before-compute answer: the asymptotic analyzer's

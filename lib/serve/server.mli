@@ -5,10 +5,11 @@
     on both.
 
     The shared {!Loop} owns all IO; between IO rounds the request scheduler
-    drains decoded queries in micro-batches — per batch, the distinct cache
-    misses (deduplicated by sparsity fingerprint) of each kernel take one
-    batched feature extraction, their top-k measurements spread over the
-    worker pool, then fresh answers enter the LRU cache and are persisted
+    drains decoded queries in micro-batches — per batch, each distinct
+    cache miss (deduplicated by sparsity fingerprint) runs one
+    {!Waco.Tuner.query} on its kernel's model, its top-k measurements
+    spread over the worker pool, then fresh answers enter the LRU cache and
+    are persisted
     write-through: one fsynced {!Cache.persist} journal append per batch.
     FIFO order is preserved
     per connection.

@@ -28,8 +28,10 @@ fi
 # and bounded-write clocks time out clients, and the scale-out router
 # (lib/serve/router.ml), whose redial backoff is a deadline path like any
 # other.  bench/ is covered too: every recorded bench number is an elapsed
-# time on the monotonic clock.
-if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml bench 2>/dev/null; then
+# time on the monotonic clock; so are lib/experiments and lib/search, whose
+# training, search and evaluation timers feed the paper's figures (Fig. 16a's
+# eval_time and total_seconds among them).
+if grep -rn "Unix.gettimeofday" lib/serve lib/core/tuner.ml lib/experiments lib/search bench 2>/dev/null; then
   echo "lint.sh: Unix.gettimeofday on a deadline/elapsed path (use Robust.mono_now)" >&2
   status=1
 fi
@@ -44,23 +46,15 @@ if grep -rn "sigpipe" lib bin 2>/dev/null | grep -v "^lib/serve/addr.ml:"; then
   status=1
 fi
 
-# Serve-entry rule (DESIGN.md §10): the serve layer must reach the model
-# through Costmodel.feature_batch and the tuner's query_batch — never the
-# per-item Extractor.forward or Costmodel.predict, which would skip the
-# feature memo and the per-batch dedupe of repeated patterns that the
-# phase-B throughput numbers rest on.
-if grep -rn "Extractor\.forward\|Costmodel\.predict " lib/serve 2>/dev/null; then
-  echo "lint.sh: eager forward/predict in lib/serve (use Costmodel.feature_batch or Tuner.query_batch)" >&2
-  status=1
-fi
-# The same rule for phase B's one path (DESIGN.md §10): serving reaches the
-# model only through Tuner.query_batch, on one model per kernel slot that
-# only the loop's thread touches.  The unbatched Tuner.query gives up the
-# batch's shared feature pass; Pool.map_workers and Costmodel.replicate bring
-# back per-domain replicas, one feature cache per domain and a second path
-# to test.  The pool's place is Tuner.tune's measurement fan-out.
-if grep -rnE 'Tuner\.query([^_]|$)|map_workers|Costmodel\.replicate' lib/serve 2>/dev/null; then
-  echo "lint.sh: unbatched query or per-domain replicas in lib/serve (use Tuner.query_batch ?pool)" >&2
+# Serve-entry rule (DESIGN.md §10): the serve layer reaches the model only
+# through Tuner.query, once per distinct miss, on the one model per kernel
+# slot that only the loop's thread touches.  Tuner.tune, Extractor.forward
+# and Costmodel.predict are second entry points beside it;
+# Pool.map_workers and Costmodel.replicate bring back per-domain replicas,
+# one feature memo per domain and a second path to test.  The pool's place
+# is Tuner.tune's measurement fan-out, reached through Tuner.query ?pool.
+if grep -rnE 'Tuner\.tune|Extractor\.forward|Costmodel\.predict|map_workers|Costmodel\.replicate' lib/serve 2>/dev/null; then
+  echo "lint.sh: model reached past Tuner.query in lib/serve (use Tuner.query ?pool)" >&2
   status=1
 fi
 

@@ -1619,6 +1619,104 @@ let test_cross_kernel_isolation () =
   | _ -> Alcotest.fail "duplicate kernel slots accepted"
   | exception Invalid_argument _ -> ()
 
+(* Served answers pinned: a two-slot daemon answers one mixed micro-batch —
+   measured and predict-only queries, a duplicated pattern, one pattern
+   under both modes, both kernels interleaved, a bad path — and then the
+   same batch again, all hits.  Every answer's schedule, the bits of its
+   [predicted] and [measured], its hit and degraded flags, and the work
+   counters are digested, so a change to the order phase B visits the
+   misses in cannot move an answer, a cache entry or a counter unseen. *)
+let test_served_answers_pinned () =
+  let model, index = Lazy.force fixture in
+  let smodel, sindex = Lazy.force sddmm_fixture in
+  let server =
+    Serve.Server.create ~k:4 ~ef:16
+      ~extra:[ (smodel, sindex, "<sddmm-fixture>") ]
+      ~model ~index ~index_file:"<fixture>" ~machine ~socket:"unused.sock" ()
+  in
+  let metrics = Serve.Server.metrics server in
+  (* Patterns no other test sends: the fixtures' feature memos are shared. *)
+  let a = small_matrix 81 and b = small_matrix 82 and c = small_matrix 83 in
+  let sddmm = Waco.Kernel.Sddmm in
+  let batch =
+    [
+      query_of ~qid:"a" a;
+      query_of ~kernel:sddmm ~qid:"b-sddmm" b;
+      query_of ~measure:false ~qid:"c" c;
+      {
+        Serve.Protocol.qid = "bad";
+        source = Serve.Protocol.Path "/nonexistent/pinned.mtx";
+        measure = true;
+        deadline_ms = 0;
+        kernel = None;
+      };
+      query_of ~qid:"a-again" a;
+      query_of ~measure:false ~qid:"a-predict" a;
+      query_of ~kernel:sddmm ~measure:false ~qid:"c-sddmm" c;
+      query_of ~qid:"b" b;
+    ]
+  in
+  let buf = Buffer.create 4096 in
+  let digest_round responses =
+    List.iter
+      (function
+        | Serve.Protocol.Answer r ->
+            Printf.bprintf buf "A %s %Lx %Lx %b %b\n" r.Serve.Protocol.schedule
+              (Int64.bits_of_float r.Serve.Protocol.predicted)
+              (Int64.bits_of_float r.Serve.Protocol.measured)
+              r.Serve.Protocol.cache_hit r.Serve.Protocol.degraded
+        | Serve.Protocol.Error_msg _ -> Buffer.add_string buf "E\n"
+        | _ -> Alcotest.fail "non-answer response")
+      responses;
+    List.iter
+      (fun name ->
+        Printf.bprintf buf "%s=%d\n" name
+          (Option.value ~default:(-1) (Serve.Metrics.counter metrics name)))
+      [ "extractor_forwards"; "traversals"; "cache_misses"; "cache_hits" ]
+  in
+  let first = Serve.Server.process_batch server batch in
+  digest_round first;
+  let second = Serve.Server.process_batch server batch in
+  digest_round second;
+  List.iter2
+    (fun r1 r2 ->
+      match (r1, r2) with
+      | Serve.Protocol.Answer x, Serve.Protocol.Answer y ->
+          Alcotest.(check bool) "second round hits" true y.Serve.Protocol.cache_hit;
+          Alcotest.(check string) "hit = computed answer" x.Serve.Protocol.schedule
+            y.Serve.Protocol.schedule
+      | Serve.Protocol.Error_msg _, Serve.Protocol.Error_msg _ -> ()
+      | _ -> Alcotest.fail "rounds disagree on a query's outcome")
+    first second;
+  Alcotest.(check string) "served-answer digest"
+    "2df422e78704cf37a82678cc179dc46b"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A miss whose deadline expires while an earlier miss of the same batch
+   computes is answered degraded without its feature ever being extracted:
+   the stalled measurement of A outlasts B's 30 ms budget, so B's search
+   finds its deadline gone before phase 1 and runs no forward. *)
+let test_expired_miss_runs_no_forward () =
+  let server = mk_server () in
+  let metrics = Serve.Server.metrics server in
+  let a = small_matrix 84 and b = small_matrix 85 in
+  Robust.Faults.reset ();
+  Robust.Faults.arm_stuck_measures ~seconds:0.1 1;
+  let responses =
+    Serve.Server.process_batch server
+      [ query_of ~qid:"a" a; query_of ~qid:"b" ~deadline_ms:30 b ]
+  in
+  Robust.Faults.reset ();
+  (match responses with
+  | [ Serve.Protocol.Answer ra; Serve.Protocol.Answer rb ] ->
+      Alcotest.(check bool) "A: full answer" false ra.Serve.Protocol.degraded;
+      Alcotest.(check bool) "B: degraded" true rb.Serve.Protocol.degraded;
+      Alcotest.(check (option string)) "B: reason" (Some "deadline")
+        rb.Serve.Protocol.degraded_reason
+  | _ -> Alcotest.fail "batch did not answer both queries");
+  Alcotest.(check (option int)) "only A's feature extracted" (Some 1)
+    (Serve.Metrics.counter metrics "extractor_forwards")
+
 (* A kernel-conditioned checkpoint round-trips bit-identically: predictions
    from the restored model match the originals exactly, and the one-hot
    really conditions the head (a different kernel moves the output). *)
@@ -2225,6 +2323,8 @@ let () =
             test_live_heap_per_pattern;
           Alcotest.test_case "pool determinism" `Slow test_batch_pool_determinism;
           Alcotest.test_case "deadline budgets" `Slow test_deadlines;
+          Alcotest.test_case "expired miss runs no forward" `Slow
+            test_expired_miss_runs_no_forward;
         ] );
       ( "robustness",
         [
@@ -2242,6 +2342,8 @@ let () =
         [
           Alcotest.test_case "cross-kernel cache isolation" `Slow
             test_cross_kernel_isolation;
+          Alcotest.test_case "served answers pinned" `Slow
+            test_served_answers_pinned;
           Alcotest.test_case "conditioned checkpoint roundtrip" `Slow
             test_kernel_checkpoint_roundtrip;
         ] );

@@ -234,8 +234,7 @@ let test_feature_cache () =
   Alcotest.(check (array (float 1e-12))) "same values after clear" f1 f3
 
 (* The feature memo is bounded: past its capacity it resets before adding,
-   so it never holds more than [feature_capacity] features, and a batch's
-   own features survive the reset until its searches read them. *)
+   so it never holds more than [feature_capacity] features. *)
 let test_feature_memo_bound () =
   let r = rng () in
   let m = Gen.uniform r ~nrows:16 ~ncols:16 ~nnz:24 in
@@ -248,18 +247,7 @@ let test_feature_memo_bound () =
     ignore (Waco.Costmodel.feature model (input i));
     peak := max !peak (size ())
   done;
-  Alcotest.(check bool) "single adds stay within capacity" true (!peak <= cap);
-  for b = 0 to (cap / 8) + 2 do
-    let batch = Array.init 8 (fun k -> input (cap + 100 + (8 * b) + k)) in
-    ignore (Waco.Costmodel.feature_batch model batch : bool array);
-    peak := max !peak (size ());
-    Array.iter
-      (fun (i : Waco.Extractor.input) ->
-        if not (Hashtbl.mem model.Waco.Costmodel.feature_cache i.Waco.Extractor.id)
-        then Alcotest.failf "batch member %s evicted by its own batch" i.Waco.Extractor.id)
-      batch
-  done;
-  Alcotest.(check bool) "batches stay within capacity" true (!peak <= cap)
+  Alcotest.(check bool) "single adds stay within capacity" true (!peak <= cap)
 
 (* --- bitwise parity: the split inference path vs the full-row MLP --- *)
 
